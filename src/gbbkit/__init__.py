@@ -12,8 +12,10 @@ from .convert import (
     DEFAULT_LEVEL_SET_RADIUS,
     constrained_to_cov,
     cov_from_angles,
+    ellipse_to_gbb,
     gbb_to_angle_cov,
     gbb_to_ellipse,
+    gbb_to_hbb,
     gbb_to_obb,
     hbb_to_gbb,
     mask_to_gbb,
@@ -21,7 +23,9 @@ from .convert import (
     mask_to_obb,
     obb_to_gbb,
     r_from_tau,
+    shape_to_gbb,
     tau_from_r,
+    to_crisp,
 )
 from .gradients import HbbGradient, grad_general, grad_l1_hbb, grad_l2_hbb
 from .metrics import (
@@ -74,8 +78,8 @@ __all__ = [
     # conversions
     "hbb_to_gbb", "obb_to_gbb", "cov_from_angles", "gbb_to_angle_cov",
     "gbb_to_obb", "mask_to_gbb", "mask_to_hbb", "mask_to_obb",
-    "gbb_to_ellipse", "r_from_tau", "tau_from_r", "constrained_to_cov",
-    "DEFAULT_LEVEL_SET_RADIUS",
+    "gbb_to_ellipse", "ellipse_to_gbb", "gbb_to_hbb", "shape_to_gbb", "to_crisp",
+    "r_from_tau", "tau_from_r", "constrained_to_cov", "DEFAULT_LEVEL_SET_RADIUS",
     # metrics
     "BhattacharyyaTerms", "SimilarityReport", "bhattacharyya_terms",
     "similarity", "loss_l2_axis_aligned", "mask_bc", "mask_probiou",

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import PolygonMask
+from .polygons import signed_area
+from .raster import obb_corners
+from .types import Obb, PolygonMask
 
 logger = logging.getLogger(__name__)
 
@@ -46,12 +48,11 @@ class IngestResult:
 
 def _polygon_from_flat(coords) -> PolygonMask:
     pts = np.asarray(coords, dtype=float)
-    if pts.ndim != 1 or len(pts) < 6 or len(pts) % 2 != 0:
-        raise ValueError("segmentation must be a flat list of >= 3 coordinate pairs")
+    if pts.ndim != 1 or len(pts) < 6 or len(pts) % 2 != 0 or not np.all(np.isfinite(pts)):
+        raise ValueError("segmentation must be a flat list of >= 3 finite coordinate pairs")
     verts = pts.reshape(-1, 2)
     # Normalize orientation; image-coordinate polygons usually come clockwise.
-    x, y = verts[:, 0], verts[:, 1]
-    if 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)) < 0:
+    if signed_area(verts) < 0:
         verts = verts[::-1]
     return PolygonMask(verts)
 
@@ -124,15 +125,6 @@ def _ellipse_polygon(cx, cy, semi_major, semi_minor, theta, segments=_ELLIPSE_SE
     return PolygonMask(np.column_stack([cx + ex * c - ey * s, cy + ex * s + ey * c]))
 
 
-def _rect_polygon(cx, cy, w, h, theta):
-    c, s = math.cos(theta), math.sin(theta)
-    local = np.array(
-        [[-w / 2, -h / 2], [w / 2, -h / 2], [w / 2, h / 2], [-w / 2, h / 2]]
-    )
-    rot = np.array([[c, -s], [s, c]])
-    return PolygonMask(local @ rot.T + np.array([cx, cy]))
-
-
 def _capsule_polygon(cx, cy, length, radius, theta, segments=_CAP_SEGMENTS):
     """Stadium shape: a rectangle with semicircular caps on the short ends."""
     half = length / 2.0 - radius
@@ -187,11 +179,8 @@ def generate_synthetic(
             w = rng.uniform(1.0, 4.0)
             h = w * rng.uniform(0.3, 0.8)
             theta = rng.uniform(-math.pi / 2.0, math.pi / 2.0)
-            records.append(
-                AnnotationRecord(
-                    f"synthetic-rectangle-{i}", "rectangle", _rect_polygon(cx, cy, w, h, theta)
-                )
-            )
+            rect = PolygonMask(obb_corners(Obb(cx, cy, w, h, theta)))
+            records.append(AnnotationRecord(f"synthetic-rectangle-{i}", "rectangle", rect))
         for i in range(n_per_category):
             cx, cy = center()
             length = rng.uniform(2.0, 5.0)
@@ -209,11 +198,8 @@ def generate_synthetic(
             cx, cy = center()
             w = rng.uniform(1.0, 4.0)
             h = w * rng.uniform(0.3, 0.8)
-            records.append(
-                AnnotationRecord(
-                    f"synthetic-axis-rect-{i}", "axis-rect", _rect_polygon(cx, cy, w, h, 0.0)
-                )
-            )
+            rect = PolygonMask(obb_corners(Obb(cx, cy, w, h, 0.0)))
+            records.append(AnnotationRecord(f"synthetic-axis-rect-{i}", "axis-rect", rect))
     return records
 
 

@@ -19,27 +19,25 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import batch
 from .annotations import SYNTHETIC_PRESETS, generate_synthetic, ingest_annotations
 from .convert import (
-    DEFAULT_LEVEL_SET_RADIUS,
-    cov_from_angles,
     gbb_to_ellipse,
+    gbb_to_hbb,
     gbb_to_obb,
-    hbb_to_gbb,
     mask_to_gbb,
     mask_to_hbb,
     mask_to_obb,
-    obb_to_gbb,
+    shape_to_gbb,
+    to_crisp,
 )
 from .metrics import similarity
 from .raster import default_cell_size, hbb_corners, iou_between, iou_raster, obb_corners
 from .regress import FitTrajectory, LossSchedule, OptimizerConfig, fit_gbb
-from .types import AngleCov, Ellipse, GaussBox, Hbb, Obb, PolygonMask, require_valid_gbb
+from .types import Ellipse, GaussBox, Hbb, Obb, PolygonMask, require_valid_gbb
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -49,6 +47,9 @@ EXIT_USAGE = 2
 # than the library default because the study medians move in the second
 # decimal at most.
 FIDELITY_CELLS = 256
+
+# Fidelity-study representations, in CSV column order.
+_FIDELITY_REPS = ("hbb", "obb", "ellipse")
 
 _SCATTER_DIM_EPS = 1e-6
 
@@ -124,30 +125,6 @@ def shape_to_json(shape) -> dict:
     raise TypeError(f"cannot serialize {type(shape).__name__}")
 
 
-def shape_to_gbb(shape) -> GaussBox:
-    """Moment-matched Gaussian of any supported shape."""
-    if isinstance(shape, GaussBox):
-        return shape
-    if isinstance(shape, Hbb):
-        return hbb_to_gbb(shape)
-    if isinstance(shape, Obb):
-        return obb_to_gbb(shape)
-    if isinstance(shape, PolygonMask):
-        return mask_to_gbb(shape)
-    if isinstance(shape, Ellipse):
-        r2 = DEFAULT_LEVEL_SET_RADIUS * DEFAULT_LEVEL_SET_RADIUS
-        a, b, c = cov_from_angles(
-            AngleCov(shape.semi_major**2 / r2, shape.semi_minor**2 / r2, shape.theta)
-        )
-        return GaussBox(shape.x0, shape.y0, a, b, c)
-    raise UsageError(f"cannot interpret {type(shape).__name__} as a Gaussian")
-
-
-def to_crisp(shape):
-    """Crisp region used for IoU: Gaussians become default-radius ellipses."""
-    return gbb_to_ellipse(shape) if isinstance(shape, GaussBox) else shape
-
-
 def convert_shape(shape, target: str):
     """Apply the conversion from a parsed shape to the named representation."""
     if target == "gbb":
@@ -167,10 +144,7 @@ def convert_shape(shape, target: str):
             return shape
         if isinstance(shape, PolygonMask):
             return mask_to_hbb(shape)
-        g = shape_to_gbb(shape)
-        if g.c != 0.0:
-            raise UsageError("only diagonal Gaussians convert to hbb; use obb instead")
-        return Hbb(g.x0, g.y0, math.sqrt(12.0 * g.a), math.sqrt(12.0 * g.b))
+        return gbb_to_hbb(shape_to_gbb(shape))
     if target == "polygon":
         if isinstance(shape, PolygonMask):
             return shape
@@ -287,13 +261,6 @@ def cmd_scatter(args) -> int:
     return EXIT_OK
 
 
-@dataclass
-class _FidelityAccumulator:
-    hbb: list
-    obb: list
-    ellipse: list
-
-
 def cmd_fidelity(args) -> int:
     if args.annotations is not None:
         try:
@@ -314,7 +281,7 @@ def cmd_fidelity(args) -> int:
         print("error: no usable annotations", file=sys.stderr)
         return EXIT_RUNTIME
 
-    per_category: dict[str, _FidelityAccumulator] = {}
+    per_category: dict[str, dict[str, list[float]]] = {}
     for rec in records:
         poly = rec.polygon
         reps = {
@@ -322,26 +289,19 @@ def cmd_fidelity(args) -> int:
             "obb": mask_to_obb(poly),
             "ellipse": gbb_to_ellipse(mask_to_gbb(poly)),
         }
-        acc = per_category.setdefault(rec.category, _FidelityAccumulator([], [], []))
+        acc = per_category.setdefault(rec.category, {name: [] for name in _FIDELITY_REPS})
         for name, rep in reps.items():
             cell = args.cell_size or default_cell_size(rep, poly, FIDELITY_CELLS)
-            getattr(acc, name).append(iou_raster(rep, poly, cell))
+            acc[name].append(iou_raster(rep, poly, cell))
 
-    def median_row(name: str, acc: _FidelityAccumulator) -> list[str]:
-        return [
-            name,
-            _fmt(float(np.median(acc.hbb))),
-            _fmt(float(np.median(acc.obb))),
-            _fmt(float(np.median(acc.ellipse))),
-            str(len(acc.hbb)),
-        ]
+    def median_row(category: str, acc: dict[str, list[float]]) -> list[str]:
+        medians = [_fmt(float(np.median(acc[name]))) for name in _FIDELITY_REPS]
+        return [category, *medians, str(len(acc["hbb"]))]
 
     rows = [median_row(name, per_category[name]) for name in sorted(per_category)]
-    overall = _FidelityAccumulator(
-        [v for acc in per_category.values() for v in acc.hbb],
-        [v for acc in per_category.values() for v in acc.obb],
-        [v for acc in per_category.values() for v in acc.ellipse],
-    )
+    overall = {
+        name: [v for acc in per_category.values() for v in acc[name]] for name in _FIDELITY_REPS
+    }
     rows.append(median_row("overall", overall))
     _write_csv(
         args.out,

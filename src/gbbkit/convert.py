@@ -130,6 +130,40 @@ def gbb_to_ellipse(g: GaussBox, r: float = DEFAULT_LEVEL_SET_RADIUS) -> Ellipse:
     return Ellipse(g.x0, g.y0, major, minor, theta)
 
 
+def ellipse_to_gbb(e: Ellipse) -> GaussBox:
+    """Gaussian whose default-radius level set is the ellipse (inverse of gbb_to_ellipse)."""
+    r2 = DEFAULT_LEVEL_SET_RADIUS * DEFAULT_LEVEL_SET_RADIUS
+    a, b, c = cov_from_angles(AngleCov(e.semi_major**2 / r2, e.semi_minor**2 / r2, e.theta))
+    return GaussBox(e.x0, e.y0, a, b, c)
+
+
+def gbb_to_hbb(g: GaussBox) -> Hbb:
+    """Diagonal Gaussian back to the axis-aligned box whose moments it matches."""
+    if g.c != 0.0:
+        raise ValueError("only diagonal Gaussians convert to hbb; use obb instead")
+    return Hbb(g.x0, g.y0, math.sqrt(12.0 * g.a), math.sqrt(12.0 * g.b))
+
+
+def shape_to_gbb(shape) -> GaussBox:
+    """Moment-matched Gaussian of any supported shape; ellipses via ellipse_to_gbb."""
+    if isinstance(shape, GaussBox):
+        return shape
+    if isinstance(shape, Hbb):
+        return hbb_to_gbb(shape)
+    if isinstance(shape, Obb):
+        return obb_to_gbb(shape)
+    if isinstance(shape, PolygonMask):
+        return mask_to_gbb(shape)
+    if isinstance(shape, Ellipse):
+        return ellipse_to_gbb(shape)
+    raise TypeError(f"cannot interpret {type(shape).__name__} as a Gaussian")
+
+
+def to_crisp(shape):
+    """Crisp region used for IoU: Gaussians become default-radius ellipses."""
+    return gbb_to_ellipse(shape) if isinstance(shape, GaussBox) else shape
+
+
 def r_from_tau(tau: float) -> float:
     """Level-set radius covering probability mass tau of the Gaussian.
 
@@ -174,6 +208,10 @@ __all__ = [
     "mask_to_hbb",
     "mask_to_obb",
     "gbb_to_ellipse",
+    "ellipse_to_gbb",
+    "gbb_to_hbb",
+    "shape_to_gbb",
+    "to_crisp",
     "r_from_tau",
     "tau_from_r",
     "constrained_to_cov",

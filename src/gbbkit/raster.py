@@ -23,6 +23,10 @@ Shape = Union[Hbb, Obb, Ellipse, PolygonMask]
 # under ~0.5% for smooth shapes.
 DEFAULT_CELLS = 1000
 
+# Largest shared grid built; bigger requests fail.  The ellipse fill holds
+# several float64 grids at once (32 bytes per cell measured, 320 MB at the cap).
+MAX_GRID_CELLS = 10_000_000
+
 
 @dataclass(frozen=True, eq=False)
 class RasterGrid:
@@ -192,8 +196,11 @@ def shared_grid(a: Shape, b: Shape, cell_size: float) -> RasterGrid:
     bx0, by0, bx1, by1 = shape_bounds(b)
     xmin, ymin = min(ax0, bx0) - cell_size, min(ay0, by0) - cell_size
     xmax, ymax = max(ax1, bx1) + cell_size, max(ay1, by1) + cell_size
-    width = max(1, int(math.ceil((xmax - xmin) / cell_size)))
-    height = max(1, int(math.ceil((ymax - ymin) / cell_size)))
+    nx, ny = (xmax - xmin) / cell_size, (ymax - ymin) / cell_size
+    if not nx * ny <= MAX_GRID_CELLS:
+        raise ValueError(f"{nx:.0f} x {ny:.0f} cells of size {cell_size!r} exceed MAX_GRID_CELLS")
+    width = max(1, int(math.ceil(nx)))
+    height = max(1, int(math.ceil(ny)))
     return RasterGrid.empty((xmin, ymin), cell_size, width, height)
 
 
@@ -205,13 +212,8 @@ def default_cell_size(a: Shape, b: Shape, cells: int = DEFAULT_CELLS) -> float:
     return extent / cells if extent > 0 else 1.0
 
 
-def iou_raster(a: Shape, b: Shape, cell_size: float | None = None) -> float:
-    """IoU of the two shapes' occupancy sets on a shared grid.
-
-    Converges to the analytic IoU as cell_size shrinks.  Raises if either
-    shape rasterizes to zero cells (shape smaller than one cell): reduce
-    cell_size in that case.
-    """
+def _occupancy_counts(a: Shape, b: Shape, cell_size: float | None) -> tuple[int, int, int]:
+    """Occupied cells of a, of b, and of both on their shared grid."""
     if cell_size is None:
         cell_size = default_cell_size(a, b)
     grid = shared_grid(a, b, cell_size)
@@ -224,9 +226,18 @@ def iou_raster(a: Shape, b: Shape, cell_size: float | None = None) -> float:
             "shape rasterized to zero cells; reduce cell_size below the "
             "smallest shape dimension"
         )
-    inter = int(np.count_nonzero(bits_a & bits_b))
-    union = count_a + count_b - inter
-    return inter / union
+    return count_a, count_b, int(np.count_nonzero(bits_a & bits_b))
+
+
+def iou_raster(a: Shape, b: Shape, cell_size: float | None = None) -> float:
+    """IoU of the two shapes' occupancy sets on a shared grid.
+
+    Converges to the analytic IoU as cell_size shrinks.  Raises if either
+    shape rasterizes to zero cells (shape smaller than one cell): reduce
+    cell_size in that case.
+    """
+    count_a, count_b, inter = _occupancy_counts(a, b, cell_size)
+    return inter / (count_a + count_b - inter)
 
 
 def iou_hbb(a: Hbb, b: Hbb) -> float:
@@ -284,24 +295,13 @@ def mask_bc_raster(m1: Shape, m2: Shape, cell_size: float | None = None) -> floa
     Fallback for inputs the exact polygon clipper cannot handle (shapes
     without a polygon form, or polygons that are not simple).
     """
-    if cell_size is None:
-        cell_size = default_cell_size(m1, m2)
-    grid = shared_grid(m1, m2, cell_size)
-    bits_a = rasterize(m1, grid).bits
-    bits_b = rasterize(m2, grid).bits
-    count_a = int(np.count_nonzero(bits_a))
-    count_b = int(np.count_nonzero(bits_b))
-    if count_a == 0 or count_b == 0:
-        raise ValueError(
-            "shape rasterized to zero cells; reduce cell_size below the "
-            "smallest shape dimension"
-        )
-    inter = int(np.count_nonzero(bits_a & bits_b))
+    count_a, count_b, inter = _occupancy_counts(m1, m2, cell_size)
     return min(inter / math.sqrt(count_a * count_b), 1.0)
 
 
 __all__ = [
     "DEFAULT_CELLS",
+    "MAX_GRID_CELLS",
     "RasterGrid",
     "Shape",
     "shape_bounds",

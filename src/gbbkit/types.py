@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import polygons
+
 # Positive-definiteness tolerance for covariance checks.  Absolute, sized
 # for coordinates in the O(1)-O(1e4) range; tighten or loosen per domain.
 POSITIVE_DEFINITE_EPS = 1e-12
@@ -115,14 +117,14 @@ class PolygonMask:
         verts = np.asarray(self.vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
             raise ValueError("polygon needs an (n >= 3, 2) vertex array")
+        if not np.all(np.isfinite(verts)):
+            raise ValueError("polygon vertices must be finite")
         object.__setattr__(self, "vertices", verts)
         if self.signed_area() <= 0:
             raise ValueError("polygon must be counter-clockwise with positive area")
 
     def signed_area(self) -> float:
-        x = self.vertices[:, 0]
-        y = self.vertices[:, 1]
-        return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+        return polygons.signed_area(self.vertices)
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,20 @@ class TestIngest:
         assert len(result.records) == 1
         assert result.skipped_malformed == 3
 
+    def test_non_finite_coordinates_skipped_and_counted(self, tmp_path):
+        # json.load accepts the NaN and Infinity literals that json.dumps writes.
+        path = write_coco(
+            tmp_path,
+            [
+                {"image_id": 1, "category_id": 7, "segmentation": [[0, 0, 4, 0, float("nan"), 3]]},
+                {"image_id": 1, "category_id": 7, "segmentation": [[0, 0, float("inf"), 0, 0, 3]]},
+                {"image_id": 2, "category_id": 7, "segmentation": [TRIANGLE]},
+            ],
+        )
+        result = ingest_annotations(path)
+        assert len(result.records) == 1
+        assert result.skipped_malformed == 2
+
     def test_clockwise_polygons_are_normalized(self, tmp_path):
         clockwise = [0.0, 0.0, 0.0, 3.0, 4.0, 0.0]
         path = write_coco(

@@ -48,6 +48,12 @@ class TestConvert:
         code, _, err = run_main(["convert", bad, "gbb"], capsys)
         assert code == 2
 
+    def test_non_finite_polygon_vertex_exits_2(self, capsys):
+        shape = '{"type": "polygon", "vertices": [[0, 0], [1, 0], [NaN, 1]]}'
+        code, _, err = run_main(["convert", shape, "obb"], capsys)
+        assert code == 2
+        assert "finite" in err
+
     def test_polygon_to_obb(self, capsys):
         shape = json.dumps(
             {"type": "polygon", "vertices": [[0, 0], [4, 0], [4, 2], [0, 2]]}

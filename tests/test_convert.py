@@ -8,14 +8,17 @@ from gbbkit import (
     DEFAULT_LEVEL_SET_RADIUS,
     AngleCov,
     ConstrainedCovParams,
+    Ellipse,
     GaussBox,
     Hbb,
     Obb,
     PolygonMask,
     constrained_to_cov,
     cov_from_angles,
+    ellipse_to_gbb,
     gbb_to_angle_cov,
     gbb_to_ellipse,
+    gbb_to_hbb,
     gbb_to_obb,
     hbb_to_gbb,
     mask_to_gbb,
@@ -23,7 +26,9 @@ from gbbkit import (
     mask_to_obb,
     obb_to_gbb,
     r_from_tau,
+    shape_to_gbb,
     tau_from_r,
+    to_crisp,
     validate_gbb,
 )
 
@@ -236,6 +241,49 @@ class TestEllipse:
             assert math.pi * e.semi_major * e.semi_minor == pytest.approx(
                 obb.w * obb.h, rel=1e-9
             )
+
+
+class TestInverses:
+    def test_ellipse_round_trip(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            g = random_gauss_box(rng)
+            back = ellipse_to_gbb(gbb_to_ellipse(g))
+            assert (back.x0, back.y0) == (g.x0, g.y0)
+            assert (back.a, back.b, back.c) == pytest.approx((g.a, g.b, g.c), rel=1e-9, abs=1e-12)
+
+    def test_hbb_round_trip(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            box = Hbb(*rng.uniform(-5, 5, 2), *rng.uniform(0.1, 6.0, 2))
+            back = gbb_to_hbb(hbb_to_gbb(box))
+            assert (back.x0, back.y0) == (box.x0, box.y0)
+            assert (back.w, back.h) == pytest.approx((box.w, box.h), rel=1e-12)
+
+    def test_hbb_rejects_correlated_gaussian(self):
+        with pytest.raises(ValueError, match="use obb instead"):
+            gbb_to_hbb(GaussBox(0, 0, 2, 1, 0.3))
+
+
+class TestShapeToGbb:
+    def test_dispatch_over_all_shape_types(self):
+        g = GaussBox(1, 2, 2, 1, 0.3)
+        hbb, obb = Hbb(1, 2, 3, 1), Obb(1, 2, 3, 1, 0.4)
+        poly = rect_polygon(1, 2, 3, 1, 0.4)
+        ell = Ellipse(1, 2, 2, 1, 0.3)
+        assert shape_to_gbb(g) is g
+        assert shape_to_gbb(hbb) == hbb_to_gbb(hbb)
+        assert shape_to_gbb(obb) == obb_to_gbb(obb)
+        assert shape_to_gbb(poly) == mask_to_gbb(poly)
+        assert shape_to_gbb(ell) == ellipse_to_gbb(ell)
+        with pytest.raises(TypeError):
+            shape_to_gbb(AngleCov(1.0, 1.0, 0.0))
+
+    def test_to_crisp_turns_only_gaussians_into_ellipses(self):
+        g = GaussBox(1, 2, 2, 1, 0.3)
+        assert to_crisp(g) == gbb_to_ellipse(g)
+        hbb = Hbb(1, 2, 3, 1)
+        assert to_crisp(hbb) is hbb
 
 
 class TestRFromTau:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbbkit import Ellipse, Hbb, Obb, PolygonMask
 from gbbkit.polygons import points_in_polygon
@@ -208,6 +210,11 @@ class TestIouRaster:
         b = Hbb(0.5, 0.0, 1.0, 2.0)
         assert iou_raster(a, b, 0.01) == iou_raster(b, a, 0.01)
 
+    def test_rejects_grid_over_cap(self):
+        # 1e12 cells requested; the cap must stop it before allocation.
+        with pytest.raises(ValueError, match="MAX_GRID_CELLS"):
+            iou_raster(Hbb(0, 0, 1, 1), Hbb(0, 0, 1, 1), 1e-6)
+
 
 class TestIouBetween:
     def test_dispatches_hbb_to_analytic(self):
@@ -244,3 +251,53 @@ class TestMaskBcRaster:
         a = PolygonMask(UNIT_SQUARE)
         b = PolygonMask(UNIT_SQUARE + [0.5, 0.0])
         assert mask_bc_raster(a, b, 0.002) == pytest.approx(mask_bc(a, b), abs=0.01)
+
+
+# Property tests of the occupancy-count core shared by iou_raster and
+# mask_bc_raster.  Every shape spans several cells at CELL, so none
+# rasterizes to zero cells.
+CELL = 0.05
+_coord = st.floats(-2.0, 2.0)
+_size = st.floats(0.3, 3.0)
+_angle = st.floats(-math.pi, math.pi)
+
+
+@st.composite
+def _ellipses(draw):
+    major, minor = sorted([draw(_size), draw(_size)], reverse=True)
+    return Ellipse(draw(_coord), draw(_coord), major, minor, draw(_angle))
+
+
+@st.composite
+def _polygons(draw):
+    """Regular 2n-gons (convex) or n-pointed stars (non-convex)."""
+    n = draw(st.integers(3, 8))
+    outer = draw(st.floats(0.5, 2.0))
+    ratio = draw(st.sampled_from([1.0, 0.4]))
+    k = np.arange(2 * n)
+    phi = draw(_angle) + k * math.pi / n
+    r = np.where(k % 2 == 0, outer, outer * ratio)
+    cx, cy = draw(_coord), draw(_coord)
+    return PolygonMask(np.column_stack([cx + r * np.cos(phi), cy + r * np.sin(phi)]))
+
+
+_shapes = st.one_of(
+    st.builds(Hbb, _coord, _coord, _size, _size),
+    st.builds(Obb, _coord, _coord, _size, _size, _angle),
+    _ellipses(),
+    _polygons(),
+)
+_property = settings(max_examples=100, derandomize=True, deadline=None)
+
+
+@_property
+@given(_shapes, _shapes)
+def test_iou_raster_symmetric_property(a, b):
+    assert iou_raster(a, b, CELL) == iou_raster(b, a, CELL)
+
+
+@_property
+@given(_shapes, _shapes)
+def test_iou_raster_bounded_by_mask_bc_property(a, b):
+    iou = iou_raster(a, b, CELL)
+    assert 0.0 <= iou <= mask_bc_raster(a, b, CELL) <= 1.0

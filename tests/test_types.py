@@ -75,6 +75,11 @@ class TestPolygonMask:
         with pytest.raises(ValueError):
             PolygonMask(np.array([[0, 0], [1, 1], [2, 2]]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_vertices(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PolygonMask(np.array([[0, 0], [1, 0], [bad, 1]]))
+
     def test_signed_area(self):
         square = PolygonMask(np.array([[0, 0], [2, 0], [2, 2], [0, 2]]))
         assert square.signed_area() == pytest.approx(4.0)
