@@ -3,7 +3,9 @@
 Rasterization marks a cell occupied iff its center lies inside the shape
 (even-odd rule for polygons, quadratic-form test for ellipses).  Cell-center
 inclusion is unbiased for randomly placed shapes and keeps occupancy counts
-simple; accuracy is controlled entirely by the cell size.
+simple; accuracy is controlled entirely by the cell size.  Occupancy is held
+as per-row runs of cells (the span core below), so counts never need a cell
+grid in memory.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ Shape = Union[Hbb, Obb, Ellipse, PolygonMask]
 # under ~0.5% for smooth shapes.
 DEFAULT_CELLS = 1000
 
-# Largest shared grid built; bigger requests fail.  The ellipse fill holds
-# several float64 grids at once (32 bytes per cell measured, 320 MB at the cap).
+# Largest shared grid accepted; bigger requests fail.  Counts hold only run
+# boundaries, O(rows x edges), but the rows and columns still size the arrays
+# of cell centers, and the rasterize() bits view takes 1 byte per cell
+# (measured; 10 MB at the cap).
 MAX_GRID_CELLS = 10_000_000
 
 
@@ -58,7 +62,8 @@ class RasterGrid:
 
     @classmethod
     def empty(cls, origin: tuple[float, float], cell_size: float, width: int, height: int):
-        return cls(origin, cell_size, width, height, np.zeros((height, width), dtype=bool))
+        """Grid with no occupied cell; its bits are a read-only view costing no memory."""
+        return cls(origin, cell_size, width, height, np.broadcast_to(False, (height, width)))
 
     def cell_count(self) -> int:
         return int(np.count_nonzero(self.bits))
@@ -106,85 +111,108 @@ def obb_corners(box: Obb) -> np.ndarray:
 
 
 def hbb_corners(box: Hbb) -> np.ndarray:
-    hw, hh = box.w / 2.0, box.h / 2.0
-    return np.array(
-        [
-            [box.x0 - hw, box.y0 - hh],
-            [box.x0 + hw, box.y0 - hh],
-            [box.x0 + hw, box.y0 + hh],
-            [box.x0 - hw, box.y0 + hh],
-        ]
-    )
+    """Counter-clockwise corners of an axis-aligned box as a (4, 2) array."""
+    return obb_corners(Obb(box.x0, box.y0, box.w, box.h, 0.0))
 
 
-def _rasterize_polygon(vertices: np.ndarray, grid: RasterGrid) -> np.ndarray:
-    """Even-odd scanline fill matching the crossing-number point test.
+# Span core.  A shape's occupancy on a grid is a sorted array of run
+# boundaries, each the key row * (width + 1) + column.  A boundary flips the
+# cells of its row left of the column, so consecutive pairs (keys[0::2],
+# keys[1::2]) are the row's occupied runs and every row holds an even number
+# of boundaries.  Sorting two shapes' boundaries together therefore pairs up
+# into the runs of their symmetric difference.  No cell grid is built: memory
+# is O(rows x edges), not O(rows x columns).
 
-    Per row, edge crossings to the right of a cell center are counted via
-    searchsorted, so boundary decisions agree bit-for-bit with
-    polygons.points_in_polygon.
+
+def _polygon_boundaries(vertices: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Run boundaries of the even-odd fill, matching polygons.points_in_polygon.
+
+    Edge e straddles row r when exactly one of its ends lies at or below the
+    row's center (half-open in y).  Its crossing xc flips the cells whose
+    centers lie left of it, columns [0, searchsorted(xs, xc, 'left')), which
+    is the point test's `px < xcross`.
     """
     v = np.asarray(vertices, dtype=float)
+    v_next = np.concatenate((v[1:], v[:1]))
     x0, y0 = v[:, 0], v[:, 1]
-    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
-    ys = grid.y_centers()
-    xs = grid.x_centers()
-
-    rows_all = []
-    cross_all = []
-    for e in range(len(v)):
-        if y0[e] == y1[e]:
-            continue
-        straddle = (y0[e] <= ys) != (y1[e] <= ys)
-        rows = np.nonzero(straddle)[0]
-        if len(rows) == 0:
-            continue
-        xc = x0[e] + (ys[rows] - y0[e]) * (x1[e] - x0[e]) / (y1[e] - y0[e])
-        rows_all.append(rows)
-        cross_all.append(xc)
-
-    bits = np.zeros((grid.height, grid.width), dtype=bool)
-    if not rows_all:
-        return bits
-    rows_cat = np.concatenate(rows_all)
-    cross_cat = np.concatenate(cross_all)
-    order = np.lexsort((cross_cat, rows_cat))
-    rows_cat = rows_cat[order]
-    cross_cat = cross_cat[order]
-    starts = np.searchsorted(rows_cat, np.arange(grid.height), side="left")
-    ends = np.searchsorted(rows_cat, np.arange(grid.height), side="right")
-    for r in range(grid.height):
-        lo, hi = starts[r], ends[r]
-        if lo == hi:
-            continue
-        crossings = cross_cat[lo:hi]
-        right_of = (hi - lo) - np.searchsorted(crossings, xs, side="right")
-        bits[r] = right_of % 2 == 1
-    return bits
+    x1, y1 = v_next[:, 0], v_next[:, 1]
+    # Row r's center is at or above a vertex iff r >= first, so an edge
+    # straddles the rows from its ends' lower first row up to the higher.
+    first = np.searchsorted(ys, y0)
+    first_next = np.concatenate((first[1:], first[:1]))
+    lo = np.minimum(first, first_next)
+    n_rows = np.abs(first - first_next)
+    edge = np.repeat(np.arange(len(v)), n_rows)
+    rows = np.arange(len(edge)) + np.repeat(lo - np.cumsum(n_rows) + n_rows, n_rows)
+    xc = x0[edge] + (ys[rows] - y0[edge]) * (x1 - x0)[edge] / (y1 - y0)[edge]
+    cols = np.searchsorted(xs, xc)
+    return np.sort(rows * (len(xs) + 1) + cols)
 
 
-def _rasterize_ellipse(e: Ellipse, grid: RasterGrid) -> np.ndarray:
-    """Quadratic-form inclusion test evaluated at every cell center."""
-    xs = grid.x_centers() - e.x0
-    ys = grid.y_centers() - e.y0
+def _ellipse_runs(e: Ellipse, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row occupied run [left, right) of an ellipse; empty where right <= left.
+
+    At row offset y the quadratic form is A x^2 + 2 K y x + ..., its
+    determinant is 1 / (a b)^2, so the chord has center -K y / A and
+    half-width sqrt(A - (y / (a b))^2) / A with nothing cancelling.  Rounding
+    moves a chord end by far less than a cell, so the cells on both sides of
+    each end are decided by the quadratic-form test at their centers, in the
+    same operations as a test of every cell; the runs then hold exactly the
+    cells that test accepts.
+    """
+    xs = xs - e.x0
+    ys = ys - e.y0
+    a, b = e.semi_major, e.semi_minor
     c, s = math.cos(e.theta), math.sin(e.theta)
-    u = xs[None, :] * c + ys[:, None] * s
-    w = -xs[None, :] * s + ys[:, None] * c
-    return (u / e.semi_major) ** 2 + (w / e.semi_minor) ** 2 <= 1.0
+    quad = (c / a) ** 2 + (s / b) ** 2
+    cross = c * s * (1.0 / a**2 - 1.0 / b**2)
+    mid = ys * (-cross / quad)
+    half = np.sqrt(np.maximum(quad - (ys / (a * b)) ** 2, 0.0)) / quad
+    lo = np.searchsorted(xs, mid - half, "left")
+    hi = np.searchsorted(xs, mid + half, "right")
+    idx = np.concatenate((lo - 1, lo, hi - 1, hi)).reshape(4, -1)
+    cell = np.clip(idx, 0, len(xs) - 1)  # candidates past the grid edge test as outside
+    x = xs[cell]
+    u = x * c + ys * s
+    w = -x * s + ys * c
+    in_lo_prev, in_lo, in_hi_prev, in_hi = ((u / a) ** 2 + (w / b) ** 2 <= 1.0) & (cell == idx)
+    left = lo + 1 - np.where(in_lo_prev, 2, in_lo)
+    right = hi - 1 + np.where(in_hi, 2, in_hi_prev)
+    return left, right
+
+
+def _boundaries(shape: Shape, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Sorted run boundaries of a shape on the grid with these cell centers."""
+    if isinstance(shape, Hbb):
+        return _polygon_boundaries(hbb_corners(shape), xs, ys)
+    if isinstance(shape, Obb):
+        return _polygon_boundaries(obb_corners(shape), xs, ys)
+    if isinstance(shape, PolygonMask):
+        return _polygon_boundaries(shape.vertices, xs, ys)
+    if isinstance(shape, Ellipse):
+        left, right = _ellipse_runs(shape, xs, ys)
+        rows = np.nonzero(right > left)[0]
+        base = rows * (len(xs) + 1)
+        return np.column_stack((base + left[rows], base + right[rows])).ravel()
+    raise TypeError(f"unsupported shape type {type(shape).__name__}")
+
+
+def _run_cells(keys: np.ndarray) -> int:
+    """Cells covered by the runs of sorted boundaries."""
+    return int((keys[1::2] - keys[0::2]).sum())
 
 
 def rasterize(shape: Shape, grid: RasterGrid) -> RasterGrid:
-    """Occupancy of a shape on the given grid (cell-center inclusion)."""
-    if isinstance(shape, Hbb):
-        bits = _rasterize_polygon(hbb_corners(shape), grid)
-    elif isinstance(shape, Obb):
-        bits = _rasterize_polygon(obb_corners(shape), grid)
-    elif isinstance(shape, PolygonMask):
-        bits = _rasterize_polygon(shape.vertices, grid)
-    elif isinstance(shape, Ellipse):
-        bits = _rasterize_ellipse(shape, grid)
-    else:
-        raise TypeError(f"unsupported shape type {type(shape).__name__}")
+    """Occupancy of a shape on the given grid (cell-center inclusion).
+
+    A bit view of the span core's runs, for inspection and export; IoU and
+    BC counts never build it.
+    """
+    keys = _boundaries(shape, grid.x_centers(), grid.y_centers())
+    flips = np.zeros(grid.height * (grid.width + 1), dtype=np.uint8)
+    np.bitwise_xor.at(flips, keys, 1)
+    np.bitwise_xor.accumulate(flips, out=flips)
+    bits = flips.view(bool).reshape(grid.height, grid.width + 1)[:, : grid.width]
     return RasterGrid(grid.origin, grid.cell_size, grid.width, grid.height, bits)
 
 
@@ -217,16 +245,28 @@ def _occupancy_counts(a: Shape, b: Shape, cell_size: float | None) -> tuple[int,
     if cell_size is None:
         cell_size = default_cell_size(a, b)
     grid = shared_grid(a, b, cell_size)
-    bits_a = rasterize(a, grid).bits
-    bits_b = rasterize(b, grid).bits
-    count_a = int(np.count_nonzero(bits_a))
-    count_b = int(np.count_nonzero(bits_b))
+    xs, ys = grid.x_centers(), grid.y_centers()
+    if isinstance(a, Ellipse) and isinstance(b, Ellipse):
+        # One run per row each: the overlap is a per-row min/max.
+        left_a, right_a = _ellipse_runs(a, xs, ys)
+        left_b, right_b = _ellipse_runs(b, xs, ys)
+        count_a = int(np.maximum(right_a - left_a, 0).sum())
+        count_b = int(np.maximum(right_b - left_b, 0).sum())
+        overlap = np.minimum(right_a, right_b) - np.maximum(left_a, left_b)
+        inter = int(np.maximum(overlap, 0).sum())
+    else:
+        keys_a = _boundaries(a, xs, ys)
+        keys_b = _boundaries(b, xs, ys)
+        count_a = _run_cells(keys_a)
+        count_b = _run_cells(keys_b)
+        xor = _run_cells(np.sort(np.concatenate((keys_a, keys_b))))
+        inter = (count_a + count_b - xor) // 2
     if count_a == 0 or count_b == 0:
         raise ValueError(
             "shape rasterized to zero cells; reduce cell_size below the "
             "smallest shape dimension"
         )
-    return count_a, count_b, int(np.count_nonzero(bits_a & bits_b))
+    return count_a, count_b, inter
 
 
 def iou_raster(a: Shape, b: Shape, cell_size: float | None = None) -> float:
@@ -296,7 +336,7 @@ def mask_bc_raster(m1: Shape, m2: Shape, cell_size: float | None = None) -> floa
     without a polygon form, or polygons that are not simple).
     """
     count_a, count_b, inter = _occupancy_counts(m1, m2, cell_size)
-    return min(inter / math.sqrt(count_a * count_b), 1.0)
+    return inter / math.sqrt(count_a * count_b)
 
 
 __all__ = [

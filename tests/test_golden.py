@@ -1,0 +1,98 @@
+"""Golden seeded outputs: the CLI must keep producing these exact bytes.
+
+Each digest is the first 16 hex digits of the sha256 of an output produced
+from fixed seeds.  A change that alters any printed digit of any value fails
+here; a change meant to alter output must update the digest and say why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+
+import numpy as np
+import pytest
+
+from gbbkit.annotations import generate_synthetic
+from gbbkit.cli import main
+from gbbkit.convert import gbb_to_ellipse, mask_to_gbb, mask_to_hbb, mask_to_obb
+from gbbkit.raster import default_cell_size, iou_raster
+
+
+def _digest(data: str) -> str:
+    return hashlib.sha256(data.encode("utf-8")).hexdigest()[:16]
+
+
+def _cli(argv, capsys) -> str:
+    code = main(argv)
+    captured = capsys.readouterr()
+    return f"exit {code}\n{captured.out}\n--stderr--\n{captured.err}"
+
+
+def _star(rng, n_points: int) -> dict:
+    k = np.arange(2 * n_points)
+    phi = rng.uniform(-math.pi, math.pi) + k * math.pi / n_points
+    outer = rng.uniform(0.5, 2.0)
+    r = np.where(k % 2 == 0, outer, 0.4 * outer)
+    cx, cy = rng.uniform(-2.0, 2.0, 2)
+    verts = np.column_stack([cx + r * np.cos(phi), cy + r * np.sin(phi)])
+    return {"type": "polygon", "vertices": verts.tolist()}
+
+
+def _mixed_pairs(seed: int = 11, n: int = 24) -> list[str]:
+    """JSON lines of hbb, obb, gbb and star-polygon pairs in every combination."""
+    rng = np.random.default_rng(seed)
+
+    def hbb():
+        x, y = rng.uniform(-2.0, 2.0, 2)
+        w, h = rng.uniform(0.3, 3.0, 2)
+        return {"type": "hbb", "x": x, "y": y, "w": w, "h": h}
+
+    def obb():
+        return {**hbb(), "type": "obb", "theta": rng.uniform(-math.pi, math.pi)}
+
+    def gbb():
+        x, y = rng.uniform(-2.0, 2.0, 2)
+        a, b = rng.uniform(0.1, 1.5, 2)
+        c = rng.uniform(-0.5, 0.5) * math.sqrt(a * b)
+        return {"type": "gbb", "x": x, "y": y, "a": a, "b": b, "c": c}
+
+    makers = (hbb, obb, gbb, lambda: _star(rng, int(rng.integers(3, 8))))
+    lines = []
+    for i in range(n):
+        first = makers[i % 4]
+        second = makers[(i // 4) % 4]
+        lines.append(json.dumps([first(), second()]))
+    # A sub-cell Gaussian far from its partner: skipped as zero cells.
+    tiny = {"type": "gbb", "x": 0.0, "y": 0.0, "a": 1e-5, "b": 1e-5, "c": 0.0}
+    far = {"type": "gbb", "x": 1000.0, "y": 0.0, "a": 1e-5, "b": 1e-5, "c": 0.0}
+    lines.append(json.dumps([tiny, far]))
+    return lines
+
+
+@pytest.mark.parametrize(
+    "preset, digest",
+    [("default", "ae7a34de2c2994d3"), ("ellipses", "d334eed4cf465146")],
+)
+def test_fidelity_synthetic_golden(preset, digest, capsys):
+    out = _cli(["fidelity", "--synthetic", preset, "--n", "20", "--seed", "5"], capsys)
+    assert _digest(out) == digest
+
+
+def test_fidelity_per_record_iou_golden():
+    # Every raster IoU the fidelity study takes a median of, not just the medians.
+    values = []
+    for rec in generate_synthetic("default", 12, 3):
+        poly = rec.polygon
+        for rep in (mask_to_hbb(poly), mask_to_obb(poly), gbb_to_ellipse(mask_to_gbb(poly))):
+            values.append(repr(iou_raster(rep, poly, default_cell_size(rep, poly, 256))))
+    assert _digest("\n".join(values)) == "7d7d670dc622e611"
+
+
+def test_score_mixed_golden(tmp_path, capsys):
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("\n".join(_mixed_pairs()) + "\n", encoding="utf-8")
+    out = _cli(["score", str(pairs)], capsys)
+    assert "zero cells" in out
+    assert _digest(out) == "8cc2e4b5719e78e8"

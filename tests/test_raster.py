@@ -269,11 +269,11 @@ def _ellipses(draw):
 
 
 @st.composite
-def _polygons(draw):
-    """Regular 2n-gons (convex) or n-pointed stars (non-convex)."""
+def _polygons(draw, ratios=st.sampled_from([1.0, 0.4])):
+    """Regular 2n-gons (ratio 1, convex) or n-pointed stars (non-convex)."""
     n = draw(st.integers(3, 8))
     outer = draw(st.floats(0.5, 2.0))
-    ratio = draw(st.sampled_from([1.0, 0.4]))
+    ratio = draw(ratios)
     k = np.arange(2 * n)
     phi = draw(_angle) + k * math.pi / n
     r = np.where(k % 2 == 0, outer, outer * ratio)
@@ -301,3 +301,96 @@ def test_iou_raster_symmetric_property(a, b):
 def test_iou_raster_bounded_by_mask_bc_property(a, b):
     iou = iou_raster(a, b, CELL)
     assert 0.0 <= iou <= mask_bc_raster(a, b, CELL) <= 1.0
+
+
+# Exact agreement with an independent dense reference: the crossing-number
+# point test (polygons.points_in_polygon) and the ellipse quadratic form,
+# evaluated at every cell center of the shared grid.
+def _dense_bits(shape, grid):
+    xs, ys = np.meshgrid(grid.x_centers(), grid.y_centers())
+    if isinstance(shape, Ellipse):
+        x, y = xs - shape.x0, ys - shape.y0
+        c, s = math.cos(shape.theta), math.sin(shape.theta)
+        u = x * c + y * s
+        w = -x * s + y * c
+        return (u / shape.semi_major) ** 2 + (w / shape.semi_minor) ** 2 <= 1.0
+    if isinstance(shape, Hbb):
+        verts = hbb_corners(shape)
+    elif isinstance(shape, Obb):
+        verts = obb_corners(shape)
+    else:
+        verts = shape.vertices
+    pts = np.column_stack([xs.ravel(), ys.ravel()])
+    return points_in_polygon(pts, verts).reshape(xs.shape)
+
+
+# Quarter-cell lattice: every box edge and every tangent point of an
+# axis-aligned ellipse lies on a quarter-cell multiple, and the shared grid's
+# cell centers sit on the same lattice, so many fall exactly on a boundary.
+LATTICE_CELL = 0.25
+_quarter = st.integers(-16, 16).map(lambda k: k * LATTICE_CELL / 4)
+_half_size = st.integers(1, 12).map(lambda k: k * LATTICE_CELL / 2)
+
+
+@st.composite
+def _lattice_ellipses(draw):
+    major, minor = sorted([draw(_half_size), draw(_half_size)], reverse=True)
+    theta = draw(st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2, 3 * math.pi / 2]))
+    return Ellipse(draw(_quarter), draw(_quarter), major / 2, minor / 2, theta)
+
+
+_star_ratios = st.floats(0.2, 0.7)
+_lattice_shapes = st.one_of(
+    st.builds(Hbb, _quarter, _quarter, _half_size, _half_size),
+    _lattice_ellipses(),
+)
+_pairs = st.one_of(
+    st.tuples(_ellipses(), _ellipses(), st.just(CELL)),
+    st.tuples(_polygons(_star_ratios), _polygons(_star_ratios), st.just(CELL)),
+    st.tuples(_lattice_shapes, _lattice_shapes, st.just(LATTICE_CELL)),
+    st.tuples(_shapes, _shapes, st.just(CELL)),
+)
+
+
+def _assert_matches_dense(a, b, cell):
+    grid = shared_grid(a, b, cell)
+    bits_a, bits_b = _dense_bits(a, grid), _dense_bits(b, grid)
+    count_a, count_b = int(bits_a.sum()), int(bits_b.sum())
+    inter = int((bits_a & bits_b).sum())
+    if count_a == 0 or count_b == 0:
+        with pytest.raises(ValueError, match="zero cells"):
+            iou_raster(a, b, cell)
+        return
+    assert iou_raster(a, b, cell) == inter / (count_a + count_b - inter)
+    assert mask_bc_raster(a, b, cell) == inter / math.sqrt(count_a * count_b)
+    np.testing.assert_array_equal(rasterize(a, grid).bits, bits_a)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_pairs)
+def test_counts_match_dense_reference_property(pair):
+    _assert_matches_dense(*pair)
+
+
+# Lattice pairs where a chord end computed from the row's quadratic falls on
+# the wrong side of a cell center by rounding, one case per snapping
+# direction: left end moved right and right end moved left (first case),
+# left end moved left, right end moved right.
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (Ellipse(0.1875, -0.0625, 0.625, 0.625, -math.pi / 2), Hbb(-0.25, -0.625, 0.625, 0.625)),
+        (Ellipse(-0.25, -0.25, 0.6875, 0.125, 3 * math.pi / 2), Hbb(0.125, -1.0, 1.5, 1.375)),
+        (Ellipse(-0.5, -0.625, 0.375, 0.1875, math.pi), Hbb(-0.0625, 0.0625, 1.25, 0.875)),
+    ],
+)
+def test_chord_ends_snap_to_quadratic_form(a, b):
+    _assert_matches_dense(a, b, LATTICE_CELL)
+
+
+def test_ellipse_runs_clipped_at_grid_edges():
+    # Runs reaching past the first or last column stop at the grid edge.
+    grid = RasterGrid.empty((-0.5, -0.5), 0.1, 7, 5)
+    clipped = (Ellipse(0, 0, 3, 1, 0.3), Ellipse(0.2, 0, 0.4, 0.3, 1.0), Ellipse(-0.6, 0, 0.5, 0.4, 0))
+    for e in clipped:
+        np.testing.assert_array_equal(rasterize(e, grid).bits, _dense_bits(e, grid))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from gbbkit import (
     PolygonMask,
     validate_gbb,
 )
+from gbbkit.types import POSITIVE_DEFINITE_EPS
 
 
 class TestValidateGbb:
@@ -32,8 +35,10 @@ class TestValidateGbb:
         assert not validate_gbb(GaussBox(float("inf"), 0, 1, 1, 0))[0]
 
     def test_eps_boundary(self):
-        # det exactly at eps fails the strict inequality
-        assert not validate_gbb(GaussBox(0, 0, 1e-6, 1e-6, 0))[0] or True
+        # det exactly at eps fails the strict inequality; the next float above passes
+        eps = POSITIVE_DEFINITE_EPS
+        assert not validate_gbb(GaussBox(0, 0, 1.0, eps, 0))[0]
+        assert validate_gbb(GaussBox(0, 0, 1.0, math.nextafter(eps, math.inf), 0))[0]
         assert validate_gbb(GaussBox(0, 0, 1, 1, 0), eps=0.5)[0]
         assert not validate_gbb(GaussBox(0, 0, 0.4, 1, 0), eps=0.5)[0]
 
