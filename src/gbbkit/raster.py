@@ -62,8 +62,7 @@ class RasterGrid:
 
     @classmethod
     def empty(cls, origin: tuple[float, float], cell_size: float, width: int, height: int):
-        """Grid with no occupied cell; its bits are a read-only view costing no memory."""
-        return cls(origin, cell_size, width, height, np.broadcast_to(False, (height, width)))
+        return cls(origin, cell_size, width, height, np.zeros((height, width), dtype=bool))
 
     def cell_count(self) -> int:
         return int(np.count_nonzero(self.bits))
@@ -217,7 +216,10 @@ def rasterize(shape: Shape, grid: RasterGrid) -> RasterGrid:
 
 
 def shared_grid(a: Shape, b: Shape, cell_size: float) -> RasterGrid:
-    """Empty grid covering both shapes' bounds, padded by one cell."""
+    """Empty grid covering both shapes' bounds, padded by one cell.
+
+    Its bits are a read-only all-False view, so no memory per cell is taken.
+    """
     if not cell_size > 0:
         raise ValueError(f"cell_size must be positive, got {cell_size}")
     ax0, ay0, ax1, ay1 = shape_bounds(a)
@@ -229,7 +231,8 @@ def shared_grid(a: Shape, b: Shape, cell_size: float) -> RasterGrid:
         raise ValueError(f"{nx:.0f} x {ny:.0f} cells of size {cell_size!r} exceed MAX_GRID_CELLS")
     width = max(1, int(math.ceil(nx)))
     height = max(1, int(math.ceil(ny)))
-    return RasterGrid.empty((xmin, ymin), cell_size, width, height)
+    bits = np.broadcast_to(False, (height, width))
+    return RasterGrid((xmin, ymin), cell_size, width, height, bits)
 
 
 def default_cell_size(a: Shape, b: Shape, cells: int = DEFAULT_CELLS) -> float:
@@ -246,21 +249,12 @@ def _occupancy_counts(a: Shape, b: Shape, cell_size: float | None) -> tuple[int,
         cell_size = default_cell_size(a, b)
     grid = shared_grid(a, b, cell_size)
     xs, ys = grid.x_centers(), grid.y_centers()
-    if isinstance(a, Ellipse) and isinstance(b, Ellipse):
-        # One run per row each: the overlap is a per-row min/max.
-        left_a, right_a = _ellipse_runs(a, xs, ys)
-        left_b, right_b = _ellipse_runs(b, xs, ys)
-        count_a = int(np.maximum(right_a - left_a, 0).sum())
-        count_b = int(np.maximum(right_b - left_b, 0).sum())
-        overlap = np.minimum(right_a, right_b) - np.maximum(left_a, left_b)
-        inter = int(np.maximum(overlap, 0).sum())
-    else:
-        keys_a = _boundaries(a, xs, ys)
-        keys_b = _boundaries(b, xs, ys)
-        count_a = _run_cells(keys_a)
-        count_b = _run_cells(keys_b)
-        xor = _run_cells(np.sort(np.concatenate((keys_a, keys_b))))
-        inter = (count_a + count_b - xor) // 2
+    keys_a = _boundaries(a, xs, ys)
+    keys_b = _boundaries(b, xs, ys)
+    count_a = _run_cells(keys_a)
+    count_b = _run_cells(keys_b)
+    xor = _run_cells(np.sort(np.concatenate((keys_a, keys_b))))
+    inter = (count_a + count_b - xor) // 2
     if count_a == 0 or count_b == 0:
         raise ValueError(
             "shape rasterized to zero cells; reduce cell_size below the "
