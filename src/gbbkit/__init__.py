@@ -26,6 +26,9 @@ from .convert import (
     shape_to_gbb,
     tau_from_r,
     to_crisp,
+    to_hbb,
+    to_obb,
+    to_polygon,
 )
 from .gradients import HbbGradient, grad_general, grad_l1_hbb, grad_l2_hbb
 from .metrics import (
@@ -79,6 +82,7 @@ __all__ = [
     "hbb_to_gbb", "obb_to_gbb", "cov_from_angles", "gbb_to_angle_cov",
     "gbb_to_obb", "mask_to_gbb", "mask_to_hbb", "mask_to_obb",
     "gbb_to_ellipse", "ellipse_to_gbb", "gbb_to_hbb", "shape_to_gbb", "to_crisp",
+    "to_hbb", "to_obb", "to_polygon",
     "r_from_tau", "tau_from_r", "constrained_to_cov", "DEFAULT_LEVEL_SET_RADIUS",
     # metrics
     "BhattacharyyaTerms", "SimilarityReport", "bhattacharyya_terms",

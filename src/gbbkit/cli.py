@@ -26,16 +26,17 @@ from . import batch
 from .annotations import SYNTHETIC_PRESETS, generate_synthetic, ingest_annotations
 from .convert import (
     gbb_to_ellipse,
-    gbb_to_hbb,
-    gbb_to_obb,
     mask_to_gbb,
     mask_to_hbb,
     mask_to_obb,
     shape_to_gbb,
     to_crisp,
+    to_hbb,
+    to_obb,
+    to_polygon,
 )
 from .metrics import similarity
-from .raster import default_cell_size, hbb_corners, iou_between, iou_raster, obb_corners
+from .raster import default_cell_size, iou_between, iou_raster
 from .regress import FitTrajectory, LossSchedule, OptimizerConfig, fit_gbb
 from .types import Ellipse, GaussBox, Hbb, Obb, PolygonMask, require_valid_gbb
 
@@ -132,29 +133,11 @@ def convert_shape(shape, target: str):
     if target == "ellipse":
         return gbb_to_ellipse(shape_to_gbb(shape))
     if target == "obb":
-        if isinstance(shape, Obb):
-            return shape
-        if isinstance(shape, Hbb):
-            return Obb(shape.x0, shape.y0, shape.w, shape.h, 0.0)
-        if isinstance(shape, PolygonMask):
-            return mask_to_obb(shape)
-        return gbb_to_obb(shape_to_gbb(shape))
+        return to_obb(shape)
     if target == "hbb":
-        if isinstance(shape, Hbb):
-            return shape
-        if isinstance(shape, PolygonMask):
-            return mask_to_hbb(shape)
-        return gbb_to_hbb(shape_to_gbb(shape))
+        return to_hbb(shape)
     if target == "polygon":
-        if isinstance(shape, PolygonMask):
-            return shape
-        if isinstance(shape, Hbb):
-            return PolygonMask(hbb_corners(shape))
-        if isinstance(shape, Obb):
-            return PolygonMask(obb_corners(shape))
-        raise UsageError(
-            "polygon output needs a box or polygon input; fuzzy shapes convert to ellipse"
-        )
+        return to_polygon(shape)
     raise UsageError(f"unknown target representation {target!r}")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 from .polygons import min_area_rect, polygon_moments
+from .raster import hbb_corners, obb_corners
 from .types import (
     AngleCov,
     ConstrainedCovParams,
@@ -159,6 +160,49 @@ def shape_to_gbb(shape) -> GaussBox:
     raise TypeError(f"cannot interpret {type(shape).__name__} as a Gaussian")
 
 
+def to_hbb(shape) -> Hbb:
+    """Axis-aligned box of any supported shape.
+
+    A polygon gives its bounding rectangle; Gaussians, oriented boxes and
+    ellipses give the box their Gaussian's moments match, which exists only
+    for a diagonal covariance.
+    """
+    if isinstance(shape, Hbb):
+        return shape
+    if isinstance(shape, PolygonMask):
+        return mask_to_hbb(shape)
+    return gbb_to_hbb(shape_to_gbb(shape))
+
+
+def to_obb(shape) -> Obb:
+    """Oriented box of any supported shape.
+
+    An hbb is the same box at theta = 0, a polygon gives its minimum-area
+    rectangle, and Gaussians and ellipses give the box their Gaussian's
+    moments match.
+    """
+    if isinstance(shape, Obb):
+        return shape
+    if isinstance(shape, Hbb):
+        return Obb(shape.x0, shape.y0, shape.w, shape.h, 0.0)
+    if isinstance(shape, PolygonMask):
+        return mask_to_obb(shape)
+    return gbb_to_obb(shape_to_gbb(shape))
+
+
+def to_polygon(shape) -> PolygonMask:
+    """Polygon of a crisp shape: a box becomes its four corners."""
+    if isinstance(shape, PolygonMask):
+        return shape
+    if isinstance(shape, Hbb):
+        return PolygonMask(hbb_corners(shape))
+    if isinstance(shape, Obb):
+        return PolygonMask(obb_corners(shape))
+    raise ValueError(
+        "polygon output needs a box or polygon input; fuzzy shapes convert to ellipse"
+    )
+
+
 def to_crisp(shape):
     """Crisp region used for IoU: Gaussians become default-radius ellipses."""
     return gbb_to_ellipse(shape) if isinstance(shape, GaussBox) else shape
@@ -211,6 +255,9 @@ __all__ = [
     "ellipse_to_gbb",
     "gbb_to_hbb",
     "shape_to_gbb",
+    "to_hbb",
+    "to_obb",
+    "to_polygon",
     "to_crisp",
     "r_from_tau",
     "tau_from_r",

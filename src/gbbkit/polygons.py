@@ -53,26 +53,34 @@ def polygon_moments(vertices: np.ndarray) -> tuple[float, np.ndarray, np.ndarray
 
 
 def convex_hull(points: np.ndarray) -> np.ndarray:
-    """Convex hull by Andrew's monotone chain, counter-clockwise, no duplicates."""
+    """Convex hull by Andrew's monotone chain, counter-clockwise, no duplicates.
+
+    The hull starts at the lexicographically smallest point (least x, then
+    least y), and collinear boundary points are dropped.  Fewer than three
+    distinct points come back as the distinct rows in lexicographic order.
+    """
+    # np.unique returns its rows in lexicographic order.  Which of two equal
+    # points it keeps (0.0 == -0.0) shows in the hull's bits, so it stays.
     pts = np.unique(np.asarray(points, dtype=float), axis=0)
     if len(pts) < 3:
         return pts
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
 
     def build(seq):
-        out: list[np.ndarray] = []
+        out: list[list[float]] = []
         for p in seq:
+            px, py = p
             while len(out) >= 2:
-                u = out[-1] - out[-2]
-                v = p - out[-2]
-                if u[0] * v[1] - u[1] * v[0] > 0:
+                ax, ay = out[-2]
+                bx, by = out[-1]
+                if (bx - ax) * (py - ay) - (by - ay) * (px - ax) > 0:
                     break
                 out.pop()
             out.append(p)
         return out
 
-    lower = build(pts)
-    upper = build(pts[::-1])
+    seq = pts.tolist()
+    lower = build(seq)
+    upper = build(seq[::-1])
     return np.array(lower[:-1] + upper[:-1])
 
 
@@ -80,7 +88,8 @@ def min_area_rect(points: np.ndarray) -> tuple[np.ndarray, float, float, float]:
     """Minimum-area enclosing rotated rectangle via rotating calipers.
 
     One candidate orientation per hull edge; the optimum is aligned with
-    some edge, so checking all edges is exact.
+    some edge, so checking all edges is exact.  Ties go to the first hull
+    edge, counting from the hull's lexicographically smallest point.
 
     Returns:
         (center (2,), width, height, theta) with width measured along the
@@ -90,20 +99,24 @@ def min_area_rect(points: np.ndarray) -> tuple[np.ndarray, float, float, float]:
     if len(hull) < 3:
         raise ValueError("need at least 3 non-collinear points")
 
-    edges = np.roll(hull, -1, axis=0) - hull
+    edges = np.concatenate((hull[1:], hull[:1])) - hull
     angles = np.arctan2(edges[:, 1], edges[:, 0])
 
-    best = None
-    for ang in angles:
-        c, s = math.cos(ang), math.sin(ang)
-        rot = hull @ np.array([[c, -s], [s, c]])  # rotate by -ang
-        xmin, ymin = rot.min(axis=0)
-        xmax, ymax = rot.max(axis=0)
-        area = (xmax - xmin) * (ymax - ymin)
-        if best is None or area < best[0]:
-            best = (area, ang, xmin, xmax, ymin, ymax)
+    # rots[:, k] is [[c, -s], [s, c]] for angles[k] (a rotation by -angle),
+    # so one product puts the hull in every edge's frame.  It rounds as a
+    # 2x2 product per edge does, which elementwise x*c + y*s does not;
+    # math.cos/sin, not numpy's, for the same reason.
+    rots = np.empty((2, len(angles), 2))
+    rots[0, :, 0] = rots[1, :, 1] = [math.cos(ang) for ang in angles.tolist()]
+    rots[1, :, 0] = [math.sin(ang) for ang in angles.tolist()]
+    rots[0, :, 1] = -rots[1, :, 0]
+    rot = (hull @ rots.reshape(2, -1)).reshape(len(hull), len(angles), 2)
+    lo, hi = rot.min(axis=0), rot.max(axis=0)
+    extent = hi - lo
+    best = int(np.argmin(extent[:, 0] * extent[:, 1]))
 
-    _, ang, xmin, xmax, ymin, ymax = best
+    ang = angles[best]
+    (xmin, ymin), (xmax, ymax) = lo[best], hi[best]
     c, s = math.cos(ang), math.sin(ang)
     cx_r, cy_r = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
     center = np.array([cx_r * c - cy_r * s, cx_r * s + cy_r * c])

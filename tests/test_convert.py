@@ -29,8 +29,12 @@ from gbbkit import (
     shape_to_gbb,
     tau_from_r,
     to_crisp,
+    to_hbb,
+    to_obb,
+    to_polygon,
     validate_gbb,
 )
+from gbbkit.raster import hbb_corners, obb_corners
 
 
 def rect_polygon(cx, cy, w, h, theta=0.0):
@@ -284,6 +288,36 @@ class TestShapeToGbb:
         assert to_crisp(g) == gbb_to_ellipse(g)
         hbb = Hbb(1, 2, 3, 1)
         assert to_crisp(hbb) is hbb
+
+
+class TestBoxAndPolygonTargets:
+    def test_to_hbb_dispatch(self):
+        hbb, poly = Hbb(1, 2, 3, 1), rect_polygon(1, 2, 3, 1, 0.4)
+        g, ell = GaussBox(1, 2, 2, 1, 0.0), Ellipse(1, 2, 2, 1, 0.0)
+        assert to_hbb(hbb) is hbb
+        assert to_hbb(poly) == mask_to_hbb(poly)
+        assert to_hbb(g) == gbb_to_hbb(g)
+        assert to_hbb(ell) == gbb_to_hbb(ellipse_to_gbb(ell))
+        with pytest.raises(ValueError, match="use obb instead"):
+            to_hbb(Obb(1, 2, 3, 1, 0.4))
+
+    def test_to_obb_dispatch(self):
+        obb, poly = Obb(1, 2, 3, 1, 0.4), rect_polygon(1, 2, 3, 1, 0.4)
+        g, ell = GaussBox(1, 2, 2, 1, 0.3), Ellipse(1, 2, 2, 1, 0.3)
+        assert to_obb(obb) is obb
+        assert to_obb(Hbb(1, 2, 3, 1)) == Obb(1, 2, 3, 1, 0.0)
+        assert to_obb(poly) == mask_to_obb(poly)
+        assert to_obb(g) == gbb_to_obb(g)
+        assert to_obb(ell) == gbb_to_obb(ellipse_to_gbb(ell))
+
+    def test_to_polygon_takes_only_crisp_shapes(self):
+        hbb, obb, poly = Hbb(1, 2, 3, 1), Obb(1, 2, 3, 1, 0.4), rect_polygon(1, 2, 3, 1)
+        assert to_polygon(poly) is poly
+        assert np.array_equal(to_polygon(hbb).vertices, hbb_corners(hbb))
+        assert np.array_equal(to_polygon(obb).vertices, obb_corners(obb))
+        for fuzzy in (GaussBox(1, 2, 2, 1, 0.3), Ellipse(1, 2, 2, 1, 0.3)):
+            with pytest.raises(ValueError, match="fuzzy shapes convert to ellipse"):
+                to_polygon(fuzzy)
 
 
 class TestRFromTau:

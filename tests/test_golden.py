@@ -90,6 +90,33 @@ def test_fidelity_per_record_iou_golden():
     assert _digest("\n".join(values)) == "7d7d670dc622e611"
 
 
+def test_obb_fit_golden():
+    # Center, w, h and theta of every minimum-area rectangle, to the last bit.
+    fits = [repr(mask_to_obb(rec.polygon)) for rec in generate_synthetic("default", 12, 3)]
+    assert _digest("\n".join(fits)) == "0d3e0414c5108a21"
+
+
+# One shape of each kind the convert subcommand accepts, plus a non-convex polygon.
+_CONVERT_INPUTS = [
+    {"type": "hbb", "x": 3.0, "y": 4.0, "w": 6.0, "h": 12.0},
+    {"type": "obb", "x": -1.5, "y": 2.0, "w": 3.0, "h": 0.7, "theta": 0.6},
+    {"type": "gbb", "x": 0.5, "y": -0.25, "a": 2.0, "b": 0.5, "c": 0.0},
+    {"type": "gbb", "x": 0.5, "y": -0.25, "a": 2.0, "b": 0.5, "c": 0.6},
+    {"type": "ellipse", "x": 1.0, "y": 1.0, "semi_major": 2.0, "semi_minor": 0.5, "theta": 0.4},
+    {"type": "ellipse", "x": 1.0, "y": 1.0, "semi_major": 2.0, "semi_minor": 0.5, "theta": 0.0},
+    {"type": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]},
+]
+
+
+def test_convert_golden(capsys):
+    outs = [
+        _cli(["convert", json.dumps(shape), target], capsys)
+        for shape in _CONVERT_INPUTS
+        for target in ("hbb", "obb", "gbb", "ellipse", "polygon")
+    ]
+    assert _digest("\n".join(outs)) == "9a6502d4639d7510"
+
+
 def test_score_mixed_golden(tmp_path, capsys):
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text("\n".join(_mixed_pairs()) + "\n", encoding="utf-8")

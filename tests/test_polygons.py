@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gbbkit.annotations import SYNTHETIC_PRESETS, generate_synthetic
 from gbbkit.polygons import (
     clip_convex,
     convex_hull,
@@ -98,6 +101,45 @@ class TestHullAndCalipers:
             assert got_w * got_h == pytest.approx(w * h, rel=1e-9)
             assert sorted([got_w, got_h]) == pytest.approx(sorted([w, h]), rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "points, expected",
+        [
+            (np.empty((0, 2)), np.empty((0, 2))),
+            ([[1.0, 2.0]], [[1.0, 2.0]]),
+            ([[1.0, 2.0], [-1.0, 5.0]], [[-1.0, 5.0], [1.0, 2.0]]),
+            ([[3.0, 1.0], [3.0, 1.0], [3.0, 1.0], [3.0, 1.0]], [[3.0, 1.0]]),
+            ([[0.0, 1.0], [0.0, -1.0], [0.0, 1.0]], [[0.0, -1.0], [0.0, 1.0]]),
+        ],
+    )
+    def test_hull_of_fewer_than_three_distinct_points(self, points, expected):
+        hull = convex_hull(np.asarray(points))
+        assert hull.shape == np.shape(expected)
+        assert np.array_equal(hull, expected)
+
+    def test_hull_starts_at_lexicographically_smallest_point(self):
+        pts = np.array([[2.0, 2.0], [0.0, 1.0], [2.0, 0.0], [0.0, 0.5], [1.0, 3.0]])
+        hull = convex_hull(pts)
+        assert hull.tolist() == [[0.0, 0.5], [2.0, 0.0], [2.0, 2.0], [1.0, 3.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]],
+            [[5.0, 1.0], [5.0, 1.0], [5.0, 1.0]],
+            [[0.0, 0.0], [1.0, 0.0]],
+        ],
+    )
+    def test_min_area_rect_rejects_collinear_points(self, points):
+        with pytest.raises(ValueError, match="^need at least 3 non-collinear points$"):
+            min_area_rect(np.asarray(points))
+
+    def test_min_area_rect_tie_goes_to_first_hull_edge(self):
+        # Edges at 0, pi/2 and -pi/2 all give area exactly 1.0; the hull's
+        # first edge, from (0, 0) to (1, 0), wins.
+        center, w, h, theta = min_area_rect(UNIT_SQUARE)
+        assert (w, h, theta) == (1.0, 1.0, 0.0)
+        assert center.tolist() == [0.5, 0.5]
+
     def test_min_area_rect_never_smaller_than_hull(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
@@ -180,3 +222,117 @@ class TestPointsInPolygon:
                     if p[0] < xc:
                         crossings += 1
             assert got == (crossings % 2 == 1)
+
+
+# Reference implementations: the per-edge caliper loop and the numpy-array
+# monotone chain that the vectorized versions replace.  They must agree to
+# the bit, signed zeros included.
+
+
+def _reference_convex_hull(points):
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    if len(pts) < 3:
+        return pts
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+    def build(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2:
+                u = out[-1] - out[-2]
+                v = p - out[-2]
+                if u[0] * v[1] - u[1] * v[0] > 0:
+                    break
+                out.pop()
+            out.append(p)
+        return out
+
+    lower = build(pts)
+    upper = build(pts[::-1])
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def _reference_min_area_rect(points):
+    hull = _reference_convex_hull(points)
+    if len(hull) < 3:
+        raise ValueError("need at least 3 non-collinear points")
+    edges = np.roll(hull, -1, axis=0) - hull
+    angles = np.arctan2(edges[:, 1], edges[:, 0])
+    best = None
+    for ang in angles:
+        c, s = math.cos(ang), math.sin(ang)
+        rot = hull @ np.array([[c, -s], [s, c]])
+        xmin, ymin = rot.min(axis=0)
+        xmax, ymax = rot.max(axis=0)
+        area = (xmax - xmin) * (ymax - ymin)
+        if best is None or area < best[0]:
+            best = (area, ang, xmin, xmax, ymin, ymax)
+    _, ang, xmin, xmax, ymin, ymax = best
+    c, s = math.cos(ang), math.sin(ang)
+    cx_r, cy_r = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
+    center = np.array([cx_r * c - cy_r * s, cx_r * s + cy_r * c])
+    return center, float(xmax - xmin), float(ymax - ymin), float(ang)
+
+
+@st.composite
+def _clouds(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 300))
+    return rng.normal(size=(n, 2)) * draw(st.floats(1e-3, 1e3)) + rng.uniform(-50, 50, 2)
+
+
+# Small integer lattices: duplicates, collinear runs and tied areas.  Both
+# signs of zero appear, so equal points can differ in their bits.
+_lattice_coord = st.sampled_from([-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0])
+_lattices = st.lists(st.tuples(_lattice_coord, _lattice_coord), min_size=1, max_size=80).map(
+    np.array
+)
+
+
+@st.composite
+def _signed_zero_clouds(draw):
+    # Over 16 points, np.unique stops sorting by insertion, so the signed
+    # zero it keeps among equal points comes from its quicksort.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.integers(-2, 3, size=(draw(st.integers(17, 200)), 2)).astype(float)
+    pts[(pts == 0.0) & (rng.random(pts.shape) < 0.5)] = -0.0
+    return pts
+
+
+@st.composite
+def _rectangles(draw):
+    w = draw(st.floats(0.1, 5.0))
+    h = draw(st.one_of(st.just(w), st.floats(0.1, 5.0)))
+    corners = np.array([[-w / 2, -h / 2], [w / 2, -h / 2], [w / 2, h / 2], [-w / 2, h / 2]])
+    center = (draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0)))
+    return rotate(corners, draw(st.floats(-math.pi, math.pi))) + center
+
+
+@st.composite
+def _synthetic(draw):
+    records = generate_synthetic(
+        draw(st.sampled_from(sorted(SYNTHETIC_PRESETS))), 1, draw(st.integers(0, 10_000))
+    )
+    return draw(st.sampled_from(records)).polygon.vertices
+
+
+_point_sets = st.one_of(_clouds(), _lattices, _signed_zero_clouds(), _rectangles(), _synthetic())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_point_sets)
+def test_hull_and_min_area_rect_match_reference_exactly(points):
+    hull, want = convex_hull(points), _reference_convex_hull(points)
+    assert hull.shape == want.shape
+    assert np.array_equal(hull, want)
+    assert np.array_equal(np.signbit(hull), np.signbit(want))
+
+    try:
+        want_rect = _reference_min_area_rect(points)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            min_area_rect(points)
+        return
+    center, w, h, theta = min_area_rect(points)
+    assert np.array_equal(center, want_rect[0])
+    assert (w, h, theta) == want_rect[1:]
