@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -69,60 +70,41 @@ def _num(obj, key) -> float:
     return v
 
 
+# JSON keys of each flat shape type, in its dataclass field order.
+_SHAPE_KEYS = {
+    "hbb": (Hbb, ("x", "y", "w", "h")),
+    "obb": (Obb, ("x", "y", "w", "h", "theta")),
+    "gbb": (GaussBox, ("x", "y", "a", "b", "c")),
+    "ellipse": (Ellipse, ("x", "y", "semi_major", "semi_minor", "theta")),
+}
+
+
 def parse_shape(obj):
     """Shape JSON object to a typed shape; raises UsageError on bad input."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise UsageError("shape must be a JSON object with a 'type' field")
     kind = obj["type"]
     try:
-        if kind == "hbb":
-            return Hbb(_num(obj, "x"), _num(obj, "y"), _num(obj, "w"), _num(obj, "h"))
-        if kind == "obb":
-            return Obb(
-                _num(obj, "x"), _num(obj, "y"), _num(obj, "w"), _num(obj, "h"),
-                _num(obj, "theta"),
-            )
-        if kind == "gbb":
-            return require_valid_gbb(
-                GaussBox(_num(obj, "x"), _num(obj, "y"), _num(obj, "a"), _num(obj, "b"),
-                         _num(obj, "c"))
-            )
         if kind == "polygon":
             verts = obj.get("vertices")
             if not isinstance(verts, list):
                 raise UsageError("polygon needs a 'vertices' list of [x, y] pairs")
             return PolygonMask(np.asarray(verts, dtype=float))
-        if kind == "ellipse":
-            return Ellipse(
-                _num(obj, "x"), _num(obj, "y"), _num(obj, "semi_major"),
-                _num(obj, "semi_minor"), _num(obj, "theta"),
-            )
+        if isinstance(kind, str) and kind in _SHAPE_KEYS:
+            cls, keys = _SHAPE_KEYS[kind]
+            shape = cls(*(_num(obj, key) for key in keys))
+            return require_valid_gbb(shape) if cls is GaussBox else shape
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     raise UsageError(f"unknown shape type {kind!r}")
 
 
 def shape_to_json(shape) -> dict:
-    if isinstance(shape, Hbb):
-        return {"type": "hbb", "x": shape.x0, "y": shape.y0, "w": shape.w, "h": shape.h}
-    if isinstance(shape, Obb):
-        return {
-            "type": "obb", "x": shape.x0, "y": shape.y0, "w": shape.w, "h": shape.h,
-            "theta": shape.theta,
-        }
-    if isinstance(shape, GaussBox):
-        return {
-            "type": "gbb", "x": shape.x0, "y": shape.y0, "a": shape.a, "b": shape.b,
-            "c": shape.c,
-        }
-    if isinstance(shape, Ellipse):
-        return {
-            "type": "ellipse", "x": shape.x0, "y": shape.y0,
-            "semi_major": shape.semi_major, "semi_minor": shape.semi_minor,
-            "theta": shape.theta,
-        }
     if isinstance(shape, PolygonMask):
         return {"type": "polygon", "vertices": shape.vertices.tolist()}
+    for kind, (cls, keys) in _SHAPE_KEYS.items():
+        if isinstance(shape, cls):
+            return {"type": kind, **dict(zip(keys, astuple(shape)))}
     raise TypeError(f"cannot serialize {type(shape).__name__}")
 
 
@@ -210,7 +192,7 @@ def cmd_score(args) -> int:
             shape_a, shape_b = _parse_pair(line)
             report = similarity(shape_to_gbb(shape_a), shape_to_gbb(shape_b))
             iou = iou_between(to_crisp(shape_a), to_crisp(shape_b), args.cell_size)
-        except (UsageError, ValueError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
             print(f"line {lineno}: skipped ({exc})", file=sys.stderr)
             skipped += 1
             continue
@@ -411,9 +393,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

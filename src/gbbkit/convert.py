@@ -228,7 +228,7 @@ def tau_from_r(r: float) -> float:
 def constrained_to_cov(p: ConstrainedCovParams) -> tuple[float, float, float]:
     """Map unconstrained (alpha, beta, c) to covariance entries (a, b, c).
 
-    a = exp(alpha) and b = exp(-alpha) * c**2 + exp(beta) give
+    a = exp(alpha) and b = c**2 / a + exp(beta) give
     a*b - c**2 = exp(alpha + beta) > 0 for every input, so the output is
     always positive-definite.  alpha and beta are clamped to +/-EXP_CLAMP
     before exponentiation.
@@ -236,7 +236,7 @@ def constrained_to_cov(p: ConstrainedCovParams) -> tuple[float, float, float]:
     alpha = min(max(p.alpha, -EXP_CLAMP), EXP_CLAMP)
     beta = min(max(p.beta, -EXP_CLAMP), EXP_CLAMP)
     a = math.exp(alpha)
-    b = math.exp(-alpha) * p.c * p.c + math.exp(beta)
+    b = p.c * p.c / a + math.exp(beta)
     return a, b, p.c
 
 

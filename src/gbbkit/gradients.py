@@ -1,9 +1,10 @@
 """Analytic gradients of the Gaussian-overlap losses.
 
-Two surfaces: a 4-parameter form for axis-aligned boxes (center, width,
-height), chained through the box-to-variance map, and a general
-5-parameter form in raw Gaussian coordinates (x, y, a, b, c).  Both are
-validated against central finite differences in the test suite.
+One closed form in raw Gaussian coordinates (x, y, a, b, c) serves both
+surfaces: the general 5-parameter form, and the 4-parameter form for
+axis-aligned boxes (center, width, height), which chains it through the
+box-to-variance map a = w**2/12, b = h**2/12.  Both are validated against
+central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .convert import hbb_to_gbb
 from .metrics import _bd_terms
 from .types import GaussBox, Hbb, require_valid_gbb
 
@@ -38,50 +40,85 @@ class HbbGradient:
         return float(np.hypot(np.hypot(self.d_x, self.d_y), np.hypot(self.d_w, self.d_h)))
 
 
-def grad_l2_hbb(p: Hbb, q: Hbb) -> HbbGradient:
-    """Closed-form gradient of the Bhattacharyya-distance loss for boxes.
+def _grad_terms(
+    x1: float, y1: float, a1: float, b1: float, c1: float,
+    x2: float, y2: float, a2: float, b2: float, c2: float,
+) -> np.ndarray:
+    """Bhattacharyya-distance gradient w.r.t. (x1, y1, a1, b1, c1), unvalidated.
 
-    Gradient of the diagonal-covariance loss with respect to p's
-    (x, y, w, h); exactly zero iff p == q.
+    Both covariances must be positive-definite; callers decide how strictly
+    to check that.
     """
-    dx = p.x0 - q.x0
-    dy = p.y0 - q.y0
-    sw = p.w * p.w + q.w * q.w
-    sh = p.h * p.h + q.h * q.h
-    return HbbGradient(
-        d_x=6.0 * dx / sw,
-        d_y=6.0 * dy / sh,
-        d_w=(p.w * p.w - q.w * q.w) / (2.0 * p.w * sw) - 6.0 * p.w * dx * dx / (sw * sw),
-        d_h=(p.h * p.h - q.h * q.h) / (2.0 * p.h * sh) - 6.0 * p.h * dy * dy / (sh * sh),
+    dx = x1 - x2
+    dy = y1 - y2
+    asum = a1 + a2
+    bsum = b1 + b2
+    csum = c1 + c2
+    det_sum = asum * bsum - csum * csum
+    num = asum * dy * dy + bsum * dx * dx - 2.0 * csum * dx * dy
+    det1 = a1 * b1 - c1 * c1
+
+    g_x = (bsum * dx - csum * dy) / (2.0 * det_sum)
+    g_y = (asum * dy - csum * dx) / (2.0 * det_sum)
+    g_a = (
+        dy * dy / (4.0 * det_sum)
+        - num * bsum / (4.0 * det_sum * det_sum)
+        + bsum / (2.0 * det_sum)
+        - b1 / (4.0 * det1)
     )
+    g_b = (
+        dx * dx / (4.0 * det_sum)
+        - num * asum / (4.0 * det_sum * det_sum)
+        + asum / (2.0 * det_sum)
+        - a1 / (4.0 * det1)
+    )
+    g_c = (
+        -dx * dy / (2.0 * det_sum)
+        + num * csum / (2.0 * det_sum * det_sum)
+        - csum / det_sum
+        + c1 / (2.0 * det1)
+    )
+    return np.array([g_x, g_y, g_a, g_b, g_c])
 
 
-def _l1_chain_factor(b_d: float) -> float:
-    """d(sqrt(1 - exp(-t)))/dt at t = b_d, via expm1 for tiny t."""
+def _l1_chain_factor(p: GaussBox, q: GaussBox) -> float | None:
+    """d(sqrt(1 - exp(-t)))/dt at the pair's Bhattacharyya distance t.
+
+    Evaluated at the full distance with its constant term: the factor is
+    value-sensitive even though the L2 gradient is not.  None at t == 0
+    (p == q), where the factor diverges; expm1 keeps it finite for tiny t.
+    """
+    b1, b2 = _bd_terms(p.x0, p.y0, p.a, p.b, p.c, q.x0, q.y0, q.a, q.b, q.c)
+    b_d = max(b1 + b2, 0.0)
+    if b_d == 0.0:
+        return None
     return math.exp(-b_d) / (2.0 * math.sqrt(-math.expm1(-b_d)))
 
 
-def _bd_hbb(p: Hbb, q: Hbb) -> float:
-    b1, b2 = _bd_terms(
-        p.x0, p.y0, p.w * p.w / 12.0, p.h * p.h / 12.0, 0.0,
-        q.x0, q.y0, q.w * q.w / 12.0, q.h * q.h / 12.0, 0.0,
+def grad_l2_hbb(p: Hbb, q: Hbb) -> HbbGradient:
+    """Gradient of the Bhattacharyya-distance loss for axis-aligned boxes.
+
+    The general gradient at the boxes' diagonal Gaussians, chained through
+    a = w**2/12, b = h**2/12 to p's (x, y, w, h); exactly zero iff p == q.
+    Boxes too small for validate_gbb still get a gradient.
+    """
+    gp, gq = hbb_to_gbb(p), hbb_to_gbb(q)
+    g_x, g_y, g_a, g_b, _ = _grad_terms(
+        gp.x0, gp.y0, gp.a, gp.b, gp.c, gq.x0, gq.y0, gq.a, gq.b, gq.c
     )
-    return max(b1 + b2, 0.0)
+    return HbbGradient(g_x, g_y, g_a * p.w / 6.0, g_b * p.h / 6.0)
 
 
 def grad_l1_hbb(p: Hbb, q: Hbb) -> HbbGradient:
     """Gradient of the Hellinger-distance loss for axis-aligned boxes.
 
-    Chain rule over grad_l2_hbb with factor exp(-B_D)/(2*sqrt(1-exp(-B_D))),
-    evaluated at the full Bhattacharyya distance with its constant term: the
-    factor is value-sensitive even though the L2 gradient is not.  The
-    factor underflows to zero for far-apart boxes and diverges at p == q,
-    where a zero gradient with the singular flag is returned.
+    grad_l2_hbb times the L1 chain factor, which underflows to zero for
+    far-apart boxes and diverges at p == q, where a zero gradient with the
+    singular flag is returned.
     """
-    b_d = _bd_hbb(p, q)
-    if b_d == 0.0:
+    factor = _l1_chain_factor(hbb_to_gbb(p), hbb_to_gbb(q))
+    if factor is None:
         return HbbGradient(0.0, 0.0, 0.0, 0.0, singular=True)
-    factor = _l1_chain_factor(b_d)
     g = grad_l2_hbb(p, q)
     return HbbGradient(factor * g.d_x, factor * g.d_y, factor * g.d_w, factor * g.d_h)
 
@@ -100,44 +137,12 @@ def grad_general(p: GaussBox, q: GaussBox, which: str = "l2") -> np.ndarray:
     require_valid_gbb(q)
     if which not in ("l1", "l2"):
         raise ValueError(f"loss selector must be 'l1' or 'l2', got {which!r}")
-
-    dx = p.x0 - q.x0
-    dy = p.y0 - q.y0
-    asum = p.a + q.a
-    bsum = p.b + q.b
-    csum = p.c + q.c
-    det_sum = asum * bsum - csum * csum
-    num = asum * dy * dy + bsum * dx * dx - 2.0 * csum * dx * dy
-    det1 = p.a * p.b - p.c * p.c
-
-    g_x = (bsum * dx - csum * dy) / (2.0 * det_sum)
-    g_y = (asum * dy - csum * dx) / (2.0 * det_sum)
-    g_a = (
-        dy * dy / (4.0 * det_sum)
-        - num * bsum / (4.0 * det_sum * det_sum)
-        + bsum / (2.0 * det_sum)
-        - p.b / (4.0 * det1)
-    )
-    g_b = (
-        dx * dx / (4.0 * det_sum)
-        - num * asum / (4.0 * det_sum * det_sum)
-        + asum / (2.0 * det_sum)
-        - p.a / (4.0 * det1)
-    )
-    g_c = (
-        -dx * dy / (2.0 * det_sum)
-        + num * csum / (2.0 * det_sum * det_sum)
-        - csum / det_sum
-        + p.c / (2.0 * det1)
-    )
-    grad = np.array([g_x, g_y, g_a, g_b, g_c])
-
+    grad = _grad_terms(p.x0, p.y0, p.a, p.b, p.c, q.x0, q.y0, q.a, q.b, q.c)
     if which == "l1":
-        b1, b2 = _bd_terms(p.x0, p.y0, p.a, p.b, p.c, q.x0, q.y0, q.a, q.b, q.c)
-        b_d = max(b1 + b2, 0.0)
-        if b_d == 0.0:
+        factor = _l1_chain_factor(p, q)
+        if factor is None:
             raise ValueError("L1 gradient is singular at p = q")
-        grad *= _l1_chain_factor(b_d)
+        grad *= factor
     return grad
 
 

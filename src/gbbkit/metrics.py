@@ -101,26 +101,18 @@ def similarity(p: GaussBox, q: GaussBox) -> SimilarityReport:
 
 
 def loss_l2_axis_aligned(p: GaussBox, q: GaussBox) -> float:
-    """Reduced Bhattacharyya distance for diagonal covariances.
+    """Bhattacharyya distance for diagonal covariances, offset by -ln 2.
 
-    Valid only for c1 = c2 = 0.  Offset by the constant -ln 2 against the
-    general form (constants do not affect gradients), so the value equals
-    similarity(p, q).b_d - ln 2 and the minimum at p == q is -ln 2.
+    Valid only for c1 = c2 = 0.  The constant offset does not affect
+    gradients, so the value equals similarity(p, q).b_d - ln 2 and the
+    minimum at p == q is -ln 2.
     """
     require_valid_gbb(p)
     require_valid_gbb(q)
     if p.c != 0.0 or q.c != 0.0:
         raise ValueError("axis-aligned loss requires diagonal covariances (c == 0)")
-    dx = p.x0 - q.x0
-    dy = p.y0 - q.y0
-    asum = p.a + q.a
-    bsum = p.b + q.b
-    return (
-        0.25 * (dx * dx / asum + dy * dy / bsum)
-        + 0.5 * math.log(asum * bsum)
-        - 0.25 * math.log(p.a * q.a * p.b * q.b)
-        - 2.0 * LN2
-    )
+    b1, b2 = _bd_terms(p.x0, p.y0, p.a, p.b, p.c, q.x0, q.y0, q.a, q.b, q.c)
+    return b1 + b2 - LN2
 
 
 def mask_bc(m1: PolygonMask, m2: PolygonMask) -> float:

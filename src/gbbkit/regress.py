@@ -15,16 +15,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convert import cov_from_angles, gbb_to_angle_cov, gbb_to_ellipse
+from .convert import constrained_to_cov, cov_from_angles, gbb_to_angle_cov, gbb_to_ellipse
 from .gradients import grad_general
 from .metrics import similarity
-from .raster import default_cell_size, iou_raster
-from .types import AngleCov, GaussBox, require_valid_gbb, validate_gbb
+from .raster import DEFAULT_CELLS, default_cell_size, iou_raster
+from .types import AngleCov, ConstrainedCovParams, GaussBox, require_valid_gbb, validate_gbb
 
 PARAMETRIZATIONS = ("hbb4", "angle5", "constrained5")
 
 # Floor applied to variances after each unconstrained update.
 VARIANCE_FLOOR = 1e-9
+
+# Cells along the larger extent for the fit log's ellipse IoU: the column
+# is diagnostic only, and a fit rasterizes once per step.
+_FIT_LOG_CELLS = 128
 
 
 @dataclass(frozen=True)
@@ -156,9 +160,8 @@ class _Parametrization:
         if self.kind == "angle5":
             a, b, c = cov_from_angles(AngleCov(v[2], v[3], v[4]))
             return GaussBox(v[0], v[1], a, b, c)
-        alpha, beta, c = v[2], v[3], v[4]
-        a = math.exp(alpha)
-        return GaussBox(v[0], v[1], a, c * c / a + math.exp(beta), c)
+        a, b, c = constrained_to_cov(ConstrainedCovParams(v[2], v[3], v[4]))
+        return GaussBox(v[0], v[1], a, b, c)
 
     def chain_gradient(self, grad_abc: np.ndarray) -> np.ndarray:
         """Pull a (x, y, a, b, c) gradient back into this update space."""
@@ -238,7 +241,6 @@ def fit_gbb(
     init: GaussBox,
     schedule: LossSchedule,
     opt: OptimizerConfig,
-    raster_cells: int = 128,
 ) -> FitTrajectory:
     """Fit a GaussBox to a target by clipped gradient descent.
 
@@ -246,9 +248,8 @@ def fit_gbb(
     carries the weighted stage loss and gradient norm at that state, plus
     ProbIoU and rasterized ellipse IoU against the target.  A non-finite
     loss or gradient aborts the run, returning the trajectory so far with
-    the abort reason.
-
-    raster_cells controls the (log-only) IoU rasterization resolution.
+    the abort reason.  The logged IoU is rasterized at _FIT_LOG_CELLS cells
+    along the larger extent; it never steers the fit.
     """
     require_valid_gbb(target)
     require_valid_gbb(init)
@@ -267,7 +268,7 @@ def fit_gbb(
                 loss=weight * loss,
                 grad_norm=float(np.linalg.norm(grad_vec)),
                 prob_iou=report.prob_iou,
-                iou=_ellipse_iou(current, target, raster_cells),
+                iou=_ellipse_iou(current, target, _FIT_LOG_CELLS),
             )
         else:
             record = FitStep(current, math.inf, math.inf, 0.0, 0.0)
@@ -284,21 +285,23 @@ def fit_gbb(
     return FitTrajectory(steps)
 
 
-def gradient_probe(p: GaussBox, q: GaussBox, raster_cells: int = 1000) -> GradientProbe:
+def gradient_probe(p: GaussBox, q: GaussBox) -> GradientProbe:
     """Gradient norms of both (unweighted) losses plus IoU and ProbIoU.
 
     Far-apart pairs show a large L2 norm but an underflowed L1 norm;
     well-overlapping pairs show the opposite ordering.  At p == q the L1
-    gradient is reported as zero with the singular flag set.
+    gradient is reported as zero with the singular flag set.  IoU is
+    rasterized at the library default of DEFAULT_CELLS cells.
     """
     require_valid_gbb(p)
     require_valid_gbb(q)
     report = similarity(p, q)
     norm_l2 = float(np.linalg.norm(grad_general(p, q, "l2")))
+    iou = _ellipse_iou(p, q, DEFAULT_CELLS)
     if report.b_d == 0.0:
-        return GradientProbe(norm_l2, 0.0, _ellipse_iou(p, q, raster_cells), report.prob_iou, True)
+        return GradientProbe(norm_l2, 0.0, iou, report.prob_iou, True)
     norm_l1 = float(np.linalg.norm(grad_general(p, q, "l1")))
-    return GradientProbe(norm_l2, norm_l1, _ellipse_iou(p, q, raster_cells), report.prob_iou)
+    return GradientProbe(norm_l2, norm_l1, iou, report.prob_iou)
 
 
 __all__ = [

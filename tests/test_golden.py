@@ -123,3 +123,39 @@ def test_score_mixed_golden(tmp_path, capsys):
     out = _cli(["score", str(pairs)], capsys)
     assert "zero cells" in out
     assert _digest(out) == "8cc2e4b5719e78e8"
+
+
+_REGRESS_SCHEDULE = {"omega1": 1.0, "omega2": 5.0, "switch_fraction": 0.5, "total_steps": 400}
+
+# The README config, the period-2 oscillation from an oriented init, and one
+# near-target fit in each additive update space (a step of 0.1 far from the
+# target drives their variances through the floor).
+_REGRESS_CONFIGS = [
+    {"target": {"type": "hbb", "x": 0, "y": 0, "w": 1, "h": 1},
+     "init": {"type": "hbb", "x": 2, "y": 0, "w": 1, "h": 1},
+     "schedule": _REGRESS_SCHEDULE,
+     "optimizer": {"step_size": 0.1, "grad_clip": 10.0, "parametrization": "constrained5"}},
+    {"target": {"type": "hbb", "x": 0, "y": 0, "w": 1, "h": 1},
+     "init": {"type": "obb", "x": 2, "y": 0.5, "w": 2, "h": 0.5, "theta": 0.4}},
+    {"target": {"type": "hbb", "x": 1.0, "y": -2.0, "w": 2.1, "h": 1.1},
+     "init": {"type": "hbb", "x": 1.4, "y": -2.3, "w": 1.4, "h": 1.6},
+     "schedule": {**_REGRESS_SCHEDULE, "switch_fraction": 0.4},
+     "optimizer": {"step_size": 0.02, "grad_clip": 10.0, "parametrization": "hbb4"}},
+    {"target": {"type": "obb", "x": -3.0, "y": 0.5, "w": 2.0, "h": 1.0, "theta": 0.5},
+     "init": {"type": "obb", "x": -2.7, "y": 0.7, "w": 1.5, "h": 1.2, "theta": -0.3},
+     "schedule": {**_REGRESS_SCHEDULE, "switch_fraction": 0.6},
+     "optimizer": {"step_size": 0.02, "grad_clip": 10.0, "parametrization": "angle5"}},
+]
+
+
+def test_regress_golden(tmp_path, capsys):
+    # Trajectory CSV, summary JSON and exit code of every config, to the last bit.
+    outs = []
+    for i, cfg in enumerate(_REGRESS_CONFIGS):
+        config = tmp_path / f"fit{i}.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        trajectory = tmp_path / f"trajectory{i}.csv"
+        outs.append(_cli(["regress", "--config", str(config), "--out", str(trajectory)], capsys))
+        outs.append(trajectory.read_text(encoding="utf-8"))
+    assert all('"aborted": null' in out for out in outs[::2])
+    assert _digest("\n".join(outs)) == "ac674180ce9b8bf9"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from gbbkit import (
     grad_l2_hbb,
     hbb_to_gbb,
     similarity,
+    validate_gbb,
 )
 
 
@@ -33,6 +36,74 @@ def hd_of_gbb_vec(v, q):
 def rel_err(got, want):
     scale = max(np.max(np.abs(want)), 1e-12)
     return np.max(np.abs(got - want)) / scale
+
+
+def reference_grad_l2_hbb(p, q):
+    """Hand-derived closed-form box gradient of the Bhattacharyya distance."""
+    dx = p.x0 - q.x0
+    dy = p.y0 - q.y0
+    sw = p.w * p.w + q.w * q.w
+    sh = p.h * p.h + q.h * q.h
+    return np.array([
+        6.0 * dx / sw,
+        6.0 * dy / sh,
+        (p.w * p.w - q.w * q.w) / (2.0 * p.w * sw) - 6.0 * p.w * dx * dx / (sw * sw),
+        (p.h * p.h - q.h * q.h) / (2.0 * p.h * sh) - 6.0 * p.h * dy * dy / (sh * sh),
+    ])
+
+
+def reference_l1_factor_hbb(p, q):
+    """d(sqrt(1 - exp(-t)))/dt at the boxes' Bhattacharyya distance t.
+
+    t comes from the diagonal-covariance closed form
+    3 (dx**2/sw + dy**2/sh) + ln(sw sh / (4 p.w q.w p.h q.h)) / 2.
+    """
+    sw = p.w * p.w + q.w * q.w
+    sh = p.h * p.h + q.h * q.h
+    b_d = (
+        3.0 * ((p.x0 - q.x0) ** 2 / sw + (p.y0 - q.y0) ** 2 / sh)
+        + 0.5 * math.log(sw * sh / (4.0 * p.w * q.w * p.h * q.h))
+    )
+    return math.exp(-b_d) / (2.0 * math.sqrt(-math.expm1(-b_d)))
+
+
+def box_pairs(rng, n):
+    """Random box pairs with sides from e**-7 to e**3, then pairs of tiny
+    boxes whose Gaussians fail validate_gbb."""
+    def box(scale):
+        x, y = rng.uniform(-5, 5, 2)
+        return Hbb(x * scale, y * scale, *(scale * np.exp(rng.uniform(-7, 3, 2))))
+
+    pairs = [(box(1.0), box(1.0)) for _ in range(n)]
+    tiny = [(box(1e-4), box(1e-4)) for _ in range(n // 10)]
+    tiny.append((Hbb(0, 0, 1e-3, 1e-3), Hbb(1e-3, 5e-4, 2e-3, 1e-3)))
+    assert all(not validate_gbb(hbb_to_gbb(p))[0] for p, _ in tiny)
+    return pairs + tiny
+
+
+class TestBoxGradientMatchesClosedForm:
+    # The chain rule goes through the general form, whose cancelling dx**2
+    # terms in d/db leave rounding of the x-direction's size in d_h (and
+    # likewise for d_w), so agreement is measured against the gradient's
+    # largest component rather than each component alone.
+    @staticmethod
+    def assert_close(got, want):
+        atol = 1e-9 * max(np.max(np.abs(want)), 1.0)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=atol)
+
+    def test_l2(self):
+        for p, q in box_pairs(np.random.default_rng(4), 2000):
+            self.assert_close(grad_l2_hbb(p, q).as_array(), reference_grad_l2_hbb(p, q))
+
+    def test_l1(self):
+        for p, q in box_pairs(np.random.default_rng(5), 2000):
+            want = reference_l1_factor_hbb(p, q) * reference_grad_l2_hbb(p, q)
+            self.assert_close(grad_l1_hbb(p, q).as_array(), want)
+
+    def test_l1_singular_at_identity_for_tiny_boxes(self):
+        p = Hbb(0, 0, 1e-3, 1e-3)
+        assert not validate_gbb(hbb_to_gbb(p))[0]
+        assert grad_l1_hbb(p, p).singular
 
 
 class TestGradL2Hbb:
