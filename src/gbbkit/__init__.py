@@ -8,6 +8,7 @@ ground-truth oracles; a toy gradient-descent fitting harness; and the
 """
 
 from .annotations import AnnotationRecord, IngestResult, generate_synthetic, ingest_annotations
+from .batch import iou_ellipse_pairs
 from .convert import (
     DEFAULT_LEVEL_SET_RADIUS,
     constrained_to_cov,
@@ -92,6 +93,8 @@ __all__ = [
     # raster
     "RasterGrid", "rasterize", "iou_raster", "iou_hbb", "iou_convex",
     "iou_between", "mask_bc_raster",
+    # batch kernels
+    "iou_ellipse_pairs",
     # regression harness
     "LossSchedule", "OptimizerConfig", "FitStep", "FitTrajectory",
     "GradientProbe", "schedule_loss", "fit_gbb", "gradient_probe",

@@ -196,10 +196,15 @@ def cmd_score(args) -> int:
             print(f"line {lineno}: skipped ({exc})", file=sys.stderr)
             skipped += 1
             continue
-        rows.append(
-            [_fmt(report.b_d), _fmt(report.b_c), _fmt(report.h_d),
-             _fmt(report.prob_iou), _fmt(iou)]
+        values = dict(
+            b_d=report.b_d, b_c=report.b_c, h_d=report.h_d, prob_iou=report.prob_iou, iou=iou
         )
+        bad = [name for name, v in values.items() if not math.isfinite(v)]
+        if bad:
+            print(f"line {lineno}: skipped (non-finite {', '.join(bad)})", file=sys.stderr)
+            skipped += 1
+            continue
+        rows.append([_fmt(v) for v in values.values()])
     _write_csv(args.out, ["b_d", "b_c", "h_d", "prob_iou", "iou"], rows)
     print(f"scored {len(rows)} pairs, skipped {skipped}", file=sys.stderr)
     return EXIT_OK

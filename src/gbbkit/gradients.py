@@ -89,7 +89,11 @@ def _l1_chain_factor(p: GaussBox, q: GaussBox) -> float | None:
     (p == q), where the factor diverges; expm1 keeps it finite for tiny t.
     """
     b1, b2 = _bd_terms(p.x0, p.y0, p.a, p.b, p.c, q.x0, q.y0, q.a, q.b, q.c)
-    b_d = max(b1 + b2, 0.0)
+    return _l1_factor_at(max(b1 + b2, 0.0))
+
+
+def _l1_factor_at(b_d: float) -> float | None:
+    """The L1 chain factor at a clamped Bhattacharyya distance b_d >= 0."""
     if b_d == 0.0:
         return None
     return math.exp(-b_d) / (2.0 * math.sqrt(-math.expm1(-b_d)))

@@ -93,8 +93,14 @@ def similarity(p: GaussBox, q: GaussBox) -> SimilarityReport:
     h_d uses expm1 so it stays nonzero (metric axiom) even when b_c rounds
     to 1 for nearly identical inputs.
     """
-    terms = bhattacharyya_terms(p, q)
-    b_d = max(terms.b1 + terms.b2, 0.0)
+    require_valid_gbb(p)
+    require_valid_gbb(q)
+    return _similarity_report(*_bd_terms(p.x0, p.y0, p.a, p.b, p.c, q.x0, q.y0, q.a, q.b, q.c))
+
+
+def _similarity_report(b1: float, b2: float) -> SimilarityReport:
+    """The report of similarity from the two Bhattacharyya terms, unvalidated."""
+    b_d = max(b1 + b2, 0.0)
     b_c = math.exp(-b_d)
     h_d = math.sqrt(max(0.0, -math.expm1(-b_d)))
     return SimilarityReport(b_d=b_d, b_c=b_c, h_d=h_d, prob_iou=1.0 - h_d)

@@ -139,39 +139,29 @@ def clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     """Sutherland-Hodgman clip of a polygon against a convex CCW clip polygon.
 
     Returns the clipped polygon (possibly empty).  Area of the result is the
-    intersection area whenever the subject is convex too.
+    intersection area whenever the subject is convex too.  Each vertex's
+    signed side of a clip edge is computed once, and an edge that changes
+    side is cut at t = s_p / (s_p - s_q): the two sides differ in sign, so
+    t lies in [0, 1] even for an edge lying flush along the clip line.
     """
-    output = [tuple(p) for p in np.asarray(subject, dtype=float)]
-    clip_pts = [tuple(p) for p in np.asarray(clip, dtype=float)]
+    output = np.asarray(subject, dtype=float).tolist()
+    clip_pts = np.asarray(clip, dtype=float).tolist()
 
     cx1, cy1 = clip_pts[-1]
     for cx2, cy2 in clip_pts:
         if not output:
             break
         ex, ey = cx2 - cx1, cy2 - cy1
-
-        def inside(p):
-            return ex * (p[1] - cy1) - ey * (p[0] - cx1) >= 0.0
-
-        def intersect(p, q):
-            # Line through clip edge vs segment pq.
-            dpx, dpy = q[0] - p[0], q[1] - p[1]
-            denom = ex * dpy - ey * dpx
-            t = (ex * (cy1 - p[1]) - ey * (cx1 - p[0])) / denom
-            return (p[0] + t * dpx, p[1] + t * dpy)
-
+        sides = [ex * (y - cy1) - ey * (x - cx1) for x, y in output]
         result = []
-        prev = output[-1]
-        prev_in = inside(prev)
-        for cur in output:
-            cur_in = inside(cur)
-            if cur_in:
-                if not prev_in:
-                    result.append(intersect(prev, cur))
-                result.append(cur)
-            elif prev_in:
-                result.append(intersect(prev, cur))
-            prev, prev_in = cur, cur_in
+        (px, py), sp = output[-1], sides[-1]
+        for (qx, qy), sq in zip(output, sides):
+            if (sp >= 0.0) != (sq >= 0.0):
+                t = sp / (sp - sq)
+                result.append([px + t * (qx - px), py + t * (qy - py)])
+            if sq >= 0.0:
+                result.append([qx, qy])
+            px, py, sp = qx, qy, sq
         output = result
         cx1, cy1 = cx2, cy2
 

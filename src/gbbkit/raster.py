@@ -296,6 +296,8 @@ def iou_convex(a: np.ndarray | PolygonMask, b: np.ndarray | PolygonMask) -> floa
         raise ValueError("iou_convex requires convex polygons; use iou_raster instead")
     clipped = clip_convex(pa, pb)
     inter = abs(signed_area(clipped)) if len(clipped) >= 3 else 0.0
+    # Rounding can put a flush pair's clipped area a few ulp above the smaller one.
+    inter = min(inter, area_a, area_b)
     return inter / (area_a + area_b - inter)
 
 

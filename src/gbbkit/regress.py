@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convert import constrained_to_cov, cov_from_angles, gbb_to_angle_cov, gbb_to_ellipse
-from .gradients import grad_general
-from .metrics import similarity
-from .raster import DEFAULT_CELLS, default_cell_size, iou_raster
+from .batch import iou_ellipse_pairs
+from .convert import constrained_to_cov, cov_from_angles, gbb_to_angle_cov
+from .gradients import _grad_terms, _l1_factor_at, grad_general
+from .metrics import _bd_terms, _similarity_report, similarity
 from .types import AngleCov, ConstrainedCovParams, GaussBox, require_valid_gbb, validate_gbb
 
 PARAMETRIZATIONS = ("hbb4", "angle5", "constrained5")
@@ -26,9 +26,10 @@ PARAMETRIZATIONS = ("hbb4", "angle5", "constrained5")
 # Floor applied to variances after each unconstrained update.
 VARIANCE_FLOOR = 1e-9
 
-# Cells along the larger extent for the fit log's ellipse IoU: the column
-# is diagnostic only, and a fit rasterizes once per step.
-_FIT_LOG_CELLS = 128
+# States per batched ellipse-IoU call in the fit log: a call has a fixed
+# cost of a few hundred microseconds, and its temporaries grow with the
+# block, so blocks keep both small.
+_LOG_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -120,13 +121,9 @@ def schedule_loss(step: int, schedule: LossSchedule) -> tuple[str, float]:
     return "l1", schedule.omega1
 
 
-def _ellipse_iou(p: GaussBox, q: GaussBox, cells: int) -> float:
-    ep, eq = gbb_to_ellipse(p), gbb_to_ellipse(q)
-    try:
-        return iou_raster(ep, eq, default_cell_size(ep, eq, cells))
-    except ValueError:
-        # Shapes below one cell on this grid are far-apart slivers: call it 0.
-        return 0.0
+def _rows(gs) -> np.ndarray:
+    """(n, 5) parameter rows of GaussBoxes, for the batch kernels."""
+    return np.array([(g.x0, g.y0, g.a, g.b, g.c) for g in gs], dtype=float)
 
 
 class _Parametrization:
@@ -220,20 +217,27 @@ class _Parametrization:
 def _loss_and_grad(current: GaussBox, target: GaussBox, selector: str):
     """Similarity report, unweighted loss, and (x, y, a, b, c) gradient.
 
-    A state outside the positive-definite region (possible when an
-    oversized step slams both variances into the floor) reports an infinite
-    loss so the caller aborts instead of raising mid-run.
+    The same numbers as similarity and grad_general, with the state
+    validated once; the target is validated by the caller.  A state
+    outside the positive-definite region (possible when an oversized step
+    slams both variances into the floor) reports an infinite loss so the
+    caller aborts instead of raising mid-run.
     """
     if not validate_gbb(current)[0]:
         return None, math.inf, np.zeros(5)
-    report = similarity(current, target)
+    args = (current.x0, current.y0, current.a, current.b, current.c,
+            target.x0, target.y0, target.a, target.b, target.c)
+    report = _similarity_report(*_bd_terms(*args))
+    grad = _grad_terms(*args)
     if selector == "l2":
-        return report, report.b_d, grad_general(current, target, "l2")
-    if report.b_d == 0.0:
+        return report, report.b_d, grad
+    factor = _l1_factor_at(report.b_d)
+    if factor is None:
         # Exact optimum: the L1 chain factor is singular but the true
         # directional gradient is what an optimizer should see: zero.
         return report, report.h_d, np.zeros(5)
-    return report, report.h_d, grad_general(current, target, "l1")
+    grad *= factor
+    return report, report.h_d, grad
 
 
 def fit_gbb(
@@ -246,42 +250,47 @@ def fit_gbb(
 
     Records total_steps + 1 states (initial state first).  Each record
     carries the weighted stage loss and gradient norm at that state, plus
-    ProbIoU and rasterized ellipse IoU against the target.  A non-finite
-    loss or gradient aborts the run, returning the trajectory so far with
-    the abort reason.  The logged IoU is rasterized at _FIT_LOG_CELLS cells
-    along the larger extent; it never steers the fit.
+    ProbIoU and the exact IoU of the two default level-set ellipses.  A
+    non-finite loss or gradient aborts the run, returning the trajectory so
+    far with the abort reason.  The logged IoU never steers the fit; it is
+    computed for blocks of _LOG_BLOCK states at a time.
     """
     require_valid_gbb(target)
     require_valid_gbb(init)
     param = _Parametrization(opt.parametrization, init)
+    target_row = _rows([target])
 
     steps: list[FitStep] = []
+    pending: list[tuple[GaussBox, float, float, float]] = []
+
+    def log_pending():
+        if pending:
+            states = _rows(s[0] for s in pending)
+            ious = iou_ellipse_pairs(states, np.broadcast_to(target_row, states.shape))
+            steps.extend(FitStep(*s, iou) for s, iou in zip(pending, ious.tolist()))
+            pending.clear()
+
     for step in range(schedule.total_steps + 1):
         selector, weight = schedule_loss(min(step, schedule.total_steps - 1), schedule)
         current = param.gauss_box()
         report, loss, grad_abc = _loss_and_grad(current, target, selector)
         grad_vec = weight * param.chain_gradient(grad_abc)
         finite = math.isfinite(loss) and bool(np.all(np.isfinite(grad_vec)))
-        if finite:
-            record = FitStep(
-                params=current,
-                loss=weight * loss,
-                grad_norm=float(np.linalg.norm(grad_vec)),
-                prob_iou=report.prob_iou,
-                iou=_ellipse_iou(current, target, _FIT_LOG_CELLS),
-            )
-        else:
-            record = FitStep(current, math.inf, math.inf, 0.0, 0.0)
-        steps.append(record)
         if not finite:
+            log_pending()
+            steps.append(FitStep(current, math.inf, math.inf, 0.0, 0.0))
             return FitTrajectory(
                 steps,
                 aborted=f"non-finite loss or gradient at step {step}; reduce step_size",
             )
+        pending.append((current, weight * loss, float(np.linalg.norm(grad_vec)), report.prob_iou))
+        if len(pending) == _LOG_BLOCK:
+            log_pending()
         if step == schedule.total_steps:
             break
         clipped = np.clip(grad_vec, -opt.grad_clip, opt.grad_clip)
         param.apply_update(opt.step_size * clipped)
+    log_pending()
     return FitTrajectory(steps)
 
 
@@ -290,14 +299,14 @@ def gradient_probe(p: GaussBox, q: GaussBox) -> GradientProbe:
 
     Far-apart pairs show a large L2 norm but an underflowed L1 norm;
     well-overlapping pairs show the opposite ordering.  At p == q the L1
-    gradient is reported as zero with the singular flag set.  IoU is
-    rasterized at the library default of DEFAULT_CELLS cells.
+    gradient is reported as zero with the singular flag set.  IoU is the
+    exact IoU of the two default level-set ellipses.
     """
     require_valid_gbb(p)
     require_valid_gbb(q)
     report = similarity(p, q)
     norm_l2 = float(np.linalg.norm(grad_general(p, q, "l2")))
-    iou = _ellipse_iou(p, q, DEFAULT_CELLS)
+    iou = float(iou_ellipse_pairs(_rows([p]), _rows([q]))[0])
     if report.b_d == 0.0:
         return GradientProbe(norm_l2, 0.0, iou, report.prob_iou, True)
     norm_l1 = float(np.linalg.norm(grad_general(p, q, "l1")))

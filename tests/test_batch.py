@@ -1,17 +1,38 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_gauss_box
-from gbbkit import GaussBox, Hbb, hbb_to_gbb, iou_hbb, mask_bc, similarity
+from gbbkit import (
+    AngleCov,
+    GaussBox,
+    Hbb,
+    LossSchedule,
+    OptimizerConfig,
+    cov_from_angles,
+    fit_gbb,
+    gbb_to_ellipse,
+    hbb_to_gbb,
+    iou_hbb,
+    iou_raster,
+    mask_bc,
+    similarity,
+)
 from gbbkit.batch import (
     bd_pairs,
     gbb_from_hbb,
     hd_pairs,
+    iou_ellipse_pairs,
     iou_hbb_pairs,
     mask_prob_iou_pairs,
     prob_iou_pairs,
     rect_mask_bc_pairs,
 )
+from gbbkit.raster import default_cell_size
+from gbbkit.regress import VARIANCE_FLOOR
 from gbbkit.types import PolygonMask
 
 
@@ -85,3 +106,217 @@ def test_identical_rows_give_unit_prob_iou():
     g = GaussBox(1, 2, 0.5, 0.7, 0.1)
     rows = as_rows([g, g])
     np.testing.assert_allclose(prob_iou_pairs(rows, rows), [1.0, 1.0], atol=1e-7)
+
+
+# --- exact ellipse IoU --------------------------------------------------------
+
+R2 = 12.0 / math.pi  # DEFAULT_LEVEL_SET_RADIUS ** 2
+
+
+def circle(x, y, radius):
+    """Gaussian row whose default level-set ellipse is the given circle."""
+    v = radius * radius / R2
+    return [x, y, v, v, 0.0]
+
+
+def ellipse_iou(p, q):
+    return float(iou_ellipse_pairs(np.array([p]), np.array([q]))[0])
+
+
+def affine(row, m, shift):
+    """Gaussian row moved by x -> m x + shift."""
+    mu = m @ row[:2] + shift
+    cov = m @ np.array([[row[2], row[4]], [row[4], row[3]]]) @ m.T
+    return [mu[0], mu[1], cov[0, 0], cov[1, 1], cov[0, 1]]
+
+
+def chord_iou(p, q, n=400_001):
+    """Ellipse IoU by the midpoint rule over vertical chords (error ~1e-9)."""
+
+    def chord(x, g):
+        x0, y0, a, b, c = g
+        dx = x - x0
+        half = np.sqrt(np.maximum((a * b - c * c) * (R2 * a - dx * dx), 0.0))
+        return y0 + (c * dx - half) / a, y0 + (c * dx + half) / a
+
+    lo = max(g[0] - math.sqrt(R2 * g[2]) for g in (p, q))
+    hi = min(g[0] + math.sqrt(R2 * g[2]) for g in (p, q))
+    if hi <= lo:
+        return 0.0
+    x = lo + (hi - lo) * (np.arange(n) + 0.5) / n
+    (lp, hp), (lq, hq) = chord(x, p), chord(x, q)
+    inter = np.sum(np.maximum(np.minimum(hp, hq) - np.maximum(lp, lq), 0.0)) * (hi - lo) / n
+    areas = [math.pi * R2 * math.sqrt(g[2] * g[3] - g[4] ** 2) for g in (p, q)]
+    return inter / (sum(areas) - inter)
+
+
+def raster_iou(p, q, cells=3000):
+    ep, eq = gbb_to_ellipse(GaussBox(*p)), gbb_to_ellipse(GaussBox(*q))
+    return iou_raster(ep, eq, default_cell_size(ep, eq, cells))
+
+
+class TestIouEllipsePairs:
+    def test_concentric_circles(self):
+        for r, big in ((0.5, 1.0), (1.0, 3.0), (0.01, 2.0)):
+            assert ellipse_iou(circle(1, 2, r), circle(1, 2, big)) == pytest.approx(
+                (r / big) ** 2, rel=1e-12
+            )
+
+    def test_unit_circles_at_unit_distance(self):
+        lens = 2.0 * math.acos(0.5) - math.sqrt(3.0) / 2.0
+        want = lens / (2.0 * math.pi - lens)
+        assert ellipse_iou(circle(0, 0, 1), circle(1, 0, 1)) == pytest.approx(want, rel=1e-12)
+
+    def test_identical_is_exactly_one(self):
+        for row in ([1, 2, 0.5, 0.7, 0.1], [0, 0, 1, 1, 0], [-3, 4, 2.0, 0.01, 0.1]):
+            assert ellipse_iou(row, row) == 1.0
+
+    def test_external_tangency_is_exactly_zero(self):
+        assert ellipse_iou(circle(0, 0, 1), circle(2, 0, 1)) == 0.0
+        assert ellipse_iou(circle(0, 0, 1), circle(1.9, 0, 0.9)) == 0.0
+
+    def test_far_sub_cell_pair_is_exactly_zero(self):
+        tiny = [0.0, 0.0, 1e-5, 1e-5, 0.0]
+        far = [1000.0, 0.0, 1e-5, 1e-5, 0.0]
+        assert ellipse_iou(tiny, far) == 0.0
+
+    def test_internal_tangency(self):
+        # Semi-axes 2r x r around a circle of radius r, touching at (0, +-r).
+        assert ellipse_iou([0, 0, 4, 1, 0], [0, 0, 1, 1, 0]) == pytest.approx(0.5, abs=1e-15)
+        for rho in (0.9, 0.5, 0.1, 1 - 1e-9):
+            assert ellipse_iou(circle(0, 0, 1), circle(1 - rho, 0, rho)) == pytest.approx(
+                rho * rho, abs=1e-12
+            )
+
+    def test_readme_fit_states(self):
+        # The Bhattacharyya stage holds the state's b and y at the target's
+        # while a settles onto it: an ellipse touching the target circle at
+        # two points, from inside or outside, whose IoU is the area ratio.
+        target = hbb_to_gbb(Hbb(0, 0, 1, 1))
+        traj = fit_gbb(target, hbb_to_gbb(Hbb(2, 0, 1, 1)), LossSchedule(), OptimizerConfig())
+        tangent = 0
+        for step in traj.steps:
+            g = step.params
+            if abs(g.x0) < 1e-12 and g.b == target.b and g.c == 0.0:
+                ratio = min(g.a, target.a) / max(g.a, target.a)
+                assert step.iou == pytest.approx(math.sqrt(ratio), abs=1e-12)
+                tangent += 1
+        assert tangent > 100
+        for step in traj.steps[::20]:
+            want = raster_iou(as_rows([step.params])[0], as_rows([target])[0])
+            assert step.iou == pytest.approx(want, abs=1e-4)
+
+    def test_tangent_where_a_fixed_expansion_point_would_sit(self):
+        # Mapped to the disk, the inner ellipse touches it at t = 0 and pi,
+        # where f vanishes exactly: expanding the quartic there would leave
+        # it without a leading coefficient.
+        assert ellipse_iou([0, 0, 4, 9, 0], [0, 0, 4, 1, 0]) == pytest.approx(1 / 3, abs=1e-15)
+
+    def test_crossings_at_every_quadrant_angle(self):
+        # In the unit disk's frame the other ellipse is U e(t) with
+        # U = [[u11, 0], [u21, 1]], u11^2 + u21^2 = 1 in floating point, so
+        # f(t) = u21 sin 2t is exactly zero at all four quadrant angles.
+        # Its arcs inside the disk add u11 * pi / 2, the disk's arcs inside
+        # it add asin(u11).
+        disk = [0, 0, 1, 1, 0]
+        other = [0, 0, 0.041259765625, 1.958740234375, 0.19889041546934852]
+        u11 = 0.203125
+        inter = 0.5 * math.pi * u11 + math.asin(u11)
+        want = inter / (math.pi * (1 + u11) - inter)
+        assert ellipse_iou(disk, other) == pytest.approx(want, abs=1e-14)
+
+    def test_touching_sliver(self):
+        # A late angle5 fit state against its target: the ellipses touch at
+        # two points where each pokes a rounding-deep sliver through the
+        # other.  Letting one side of a sliver decide alone cost 4e-7.
+        state = [2.3147888929498595, -4.824464748101029, 0.2522604536984193,
+                 0.09575420092047815, 0.08057344035434925]
+        target = [2.314788892949861, -4.824464748101028, 0.25557054537283386,
+                  0.11427135262319874, 0.07274442574934806]
+        assert ellipse_iou(state, target) == pytest.approx(chord_iou(state, target), abs=1e-8)
+
+    def test_tangency_under_affine_maps(self):
+        # Touching circles and touching concentric ellipses, moved by random
+        # orientation-preserving affine maps, which keep the IoU.
+        rng = np.random.default_rng(6)
+        cases = [(circle(0, 0, 1), circle(1 - rho, 0, rho), rho * rho) for rho in (0.5, 1 - 1e-9)]
+        cases += [(circle(0, 0, 1), circle(1 + rho, 0, rho), 0.0) for rho in (0.5, 1 - 1e-6)]
+        cases += [([0, 0, 1 + e, 1, 0], [0, 0, 1, 1, 0], 1 / math.sqrt(1 + e)) for e in (1e-6, 1e-11)]
+        for p, q, want in cases:
+            for _ in range(10):
+                m = rng.normal(size=(2, 2)) * math.exp(rng.uniform(-2, 2))
+                m[:, 0] *= np.sign(np.linalg.det(m))
+                shift = rng.uniform(-5, 5, 2)
+                got = ellipse_iou(affine(p, m, shift), affine(q, m, shift))
+                assert got == pytest.approx(want, abs=1e-10)
+
+    def test_containment(self):
+        inner = [0.3, -0.2, 0.05, 0.02, 0.01]
+        outer = [0.0, 0.0, 1.0, 0.8, 0.2]
+        area = lambda g: math.sqrt(g[2] * g[3] - g[4] ** 2)
+        assert ellipse_iou(inner, outer) == pytest.approx(area(inner) / area(outer), rel=1e-12)
+
+    def test_variance_floor_against_unit(self):
+        floor = [0.3, 0.0, VARIANCE_FLOOR, VARIANCE_FLOOR, 0.0]
+        unit = [0.0, 0.0, 1.0, 1.0, 0.0]
+        assert ellipse_iou(floor, unit) == pytest.approx(VARIANCE_FLOOR, rel=1e-9)
+        assert ellipse_iou(unit, floor) == ellipse_iou(floor, unit)
+
+    def test_rows_are_independent(self):
+        rng = np.random.default_rng(4)
+        ps = [random_gauss_box(rng, 1.0) for _ in range(20)]
+        qs = [random_gauss_box(rng, 1.0) for _ in range(20)]
+        batch = iou_ellipse_pairs(as_rows(ps), as_rows(qs))
+        single = [ellipse_iou(*as_rows([p, q])) for p, q in zip(ps, qs)]
+        np.testing.assert_array_equal(batch, single)
+
+
+_gauss_rows = st.builds(
+    lambda x, y, ap, bp, th: [x, y, *cov_from_angles(AngleCov(ap, bp, th))],
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0, 2.0),
+    st.floats(0.02, 3.0),
+    st.floats(0.02, 3.0),
+    st.floats(-math.pi / 4, math.pi / 4),
+)
+
+
+def _area(row):
+    return math.sqrt(row[2] * row[3] - row[4] ** 2)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_gauss_rows, _gauss_rows)
+def test_ellipse_iou_symmetric_and_bounded(p, q):
+    iou = ellipse_iou(p, q)
+    assert iou == pytest.approx(ellipse_iou(q, p), abs=1e-12)
+    small, big = sorted((_area(p), _area(q)))
+    assert 0.0 <= iou <= small / big * (1 + 1e-12)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    _gauss_rows,
+    _gauss_rows,
+    st.floats(0.1, 10.0),
+    st.floats(-math.pi, math.pi),
+    st.floats(-5.0, 5.0),
+    st.floats(-5.0, 5.0),
+)
+def test_ellipse_iou_similarity_invariant(p, q, scale, phi, tx, ty):
+    c, s = math.cos(phi), math.sin(phi)
+    rot = np.array([[c, -s], [s, c]])
+
+    def moved(row):
+        x, y, a, b, cc = row
+        mu = scale * rot @ [x, y] + [tx, ty]
+        cov = scale * scale * rot @ np.array([[a, cc], [cc, b]]) @ rot.T
+        return [mu[0], mu[1], cov[0, 0], cov[1, 1], cov[0, 1]]
+
+    assert ellipse_iou(moved(p), moved(q)) == pytest.approx(ellipse_iou(p, q), abs=1e-9)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_gauss_rows, _gauss_rows)
+def test_ellipse_iou_matches_fine_raster(p, q):
+    assert ellipse_iou(p, q) == pytest.approx(raster_iou(p, q), abs=1e-4)

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from gbbkit import cli
 from gbbkit.cli import main
 
 HBB_JSON = json.dumps({"type": "hbb", "x": 3, "y": 4, "w": 6, "h": 12})
@@ -132,6 +133,32 @@ class TestScore:
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code, _, err = run_main(["score", str(tmp_path / "none.jsonl")], capsys)
         assert code == 1
+
+    def test_flush_obb_pair_scores_finite(self, tmp_path, capsys):
+        # A synthetic rectangle and its minimum-area box: an edge of each lies
+        # flush along the other's, which once made the clipped IoU NaN.
+        obb = {"type": "obb", "x": 5.603519506606166, "y": 3.881789653321177,
+               "w": 2.5893383206677982, "h": 3.37196885129904, "theta": -1.1269016627246646}
+        poly = {"type": "polygon", "vertices": [
+            [4.6369392461670085, 1.988529418070409], [7.682116819808289, 3.4366549233782764],
+            [6.570099767045324, 5.775049888571945], [3.524922193404043, 4.326924383264078]]}
+        path = self._write_pairs(tmp_path, [json.dumps([obb, poly])])
+        out_csv = tmp_path / "scores.csv"
+        code, _, err = run_main(["score", path, "--out", str(out_csv)], capsys)
+        assert code == 0
+        assert "skipped 0" in err
+        assert float(read_csv(out_csv)[0]["iou"]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_finite_metric_skipped_with_reason(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "iou_between", lambda a, b, cell_size: math.nan)
+        g = {"type": "gbb", "x": 0, "y": 0, "a": 1, "b": 1, "c": 0}
+        path = self._write_pairs(tmp_path, [json.dumps([g, g])])
+        out_csv = tmp_path / "scores.csv"
+        code, _, err = run_main(["score", path, "--out", str(out_csv)], capsys)
+        assert code == 0
+        assert read_csv(out_csv) == []
+        assert "line 1: skipped (non-finite iou)" in err
+        assert "scored 0 pairs, skipped 1" in err
 
     def test_mixed_shape_pair_scores(self, tmp_path, capsys):
         a = {"type": "hbb", "x": 0, "y": 0, "w": 2, "h": 2}

@@ -122,7 +122,7 @@ def test_score_mixed_golden(tmp_path, capsys):
     pairs.write_text("\n".join(_mixed_pairs()) + "\n", encoding="utf-8")
     out = _cli(["score", str(pairs)], capsys)
     assert "zero cells" in out
-    assert _digest(out) == "8cc2e4b5719e78e8"
+    assert _digest(out) == "2a0164fe3358a375"
 
 
 _REGRESS_SCHEDULE = {"omega1": 1.0, "omega2": 5.0, "switch_fraction": 0.5, "total_steps": 400}
@@ -158,4 +158,19 @@ def test_regress_golden(tmp_path, capsys):
         outs.append(_cli(["regress", "--config", str(config), "--out", str(trajectory)], capsys))
         outs.append(trajectory.read_text(encoding="utf-8"))
     assert all('"aborted": null' in out for out in outs[::2])
-    assert _digest("\n".join(outs)) == "ac674180ce9b8bf9"
+    assert _digest("\n".join(outs)) == "8e2564ba3949bcb6"
+
+
+def test_regress_fit_bits_golden(tmp_path, capsys):
+    # The same fits without the logged IoU column: the log never steers a
+    # fit, so a change to how it is measured must leave these bits alone.
+    outs = []
+    for i, cfg in enumerate(_REGRESS_CONFIGS):
+        config = tmp_path / f"fit{i}.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        trajectory = tmp_path / f"trajectory{i}.csv"
+        outs.append(_cli(["regress", "--config", str(config), "--out", str(trajectory)], capsys))
+        rows = trajectory.read_text(encoding="utf-8").splitlines()
+        outs.append("\n".join(row.rsplit(",", 1)[0] for row in rows))
+    assert outs[1].startswith("step,loss,grad_norm,prob_iou\n")
+    assert _digest("\n".join(outs)) == "ea2fb2c857866e7e"

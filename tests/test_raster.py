@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gbbkit import Ellipse, Hbb, Obb, PolygonMask
-from gbbkit.polygons import points_in_polygon
+from gbbkit import Ellipse, Hbb, Obb, PolygonMask, generate_synthetic, mask_bc, mask_to_obb, to_polygon
+from gbbkit.polygons import convex_hull, min_area_rect, points_in_polygon, signed_area
 from gbbkit.raster import (
     RasterGrid,
     default_cell_size,
@@ -160,6 +160,77 @@ class TestIouConvex:
             a = rotated_square(rng.uniform(0, math.pi)) * rng.uniform(0.5, 2)
             b = rotated_square(rng.uniform(0, math.pi)) + rng.uniform(-0.5, 0.5, 2)
             assert iou_convex(a, b) == pytest.approx(iou_convex(b, a), abs=1e-12)
+
+
+# Records of generate_synthetic("default", 1000, 7) whose minimum-area box
+# has an edge flush along the polygon's own edge in a way that once made the
+# clipped intersection NaN.
+_FLUSH_RECORDS = [
+    852, 866, 1019, 1023, 1153, 1159, 1184, 1240, 1284, 1360, 1505, 1507, 1518,
+    1701, 1711, 1719, 1731, 1779, 1795, 1852, 1863, 1934, 1963, 2034, 2038, 2042,
+    2137, 2154, 2197, 2204, 2206, 2219, 2220, 2269, 2283, 2326, 2342, 2413, 2437,
+    2467, 2516, 2580, 2587, 2597, 2611, 2622, 2768, 2772, 2944, 2950,
+]
+
+
+def test_flush_min_area_box_pairs_are_finite():
+    records = generate_synthetic("default", 1000, 7)
+    for i in _FLUSH_RECORDS:
+        poly = records[i].polygon
+        box = mask_to_obb(poly)
+        iou = iou_between(box, poly)
+        bc = mask_bc(to_polygon(box), poly)
+        # The box holds the polygon, so the IoU is the area ratio.
+        assert 0.0 < iou <= 1.0
+        assert iou <= bc <= 1.0
+
+
+def _box_corners(cx, cy, w, h, theta):
+    return obb_corners(Obb(cx, cy, w, h, theta))
+
+
+@st.composite
+def _edge_sharing_convex_pairs(draw):
+    """Convex pairs whose edges share a line: boxes stacked or nested along
+    an edge at any angle, lattice rectangles, and a hull with its
+    minimum-area box."""
+    kind = draw(st.sampled_from(["stacked", "nested", "lattice", "hull"]))
+    coord = st.floats(-5.0, 5.0)
+    size = st.floats(0.05, 5.0)
+    if kind == "lattice":
+        cell = st.integers(-3, 3)
+        x0, y0, x1, y1 = draw(cell), draw(cell), draw(cell), draw(cell)
+        w0, h0, w1, h1 = (draw(st.integers(1, 4)) for _ in range(4))
+        return hbb_corners(Hbb(x0 + w0 / 2, y0 + h0 / 2, w0, h0)), hbb_corners(
+            Hbb(x1 + w1 / 2, y1 + h1 / 2, w1, h1)
+        )
+    if kind == "hull":
+        pts = np.array(draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=12)))
+        hull = convex_hull(pts)
+        assume(len(hull) >= 3 and signed_area(hull) > 1e-6)
+        center, w, h, theta = min_area_rect(hull)
+        return hull, _box_corners(center[0], center[1], w, h, theta)
+    cx, cy, w, h = draw(coord), draw(coord), draw(size), draw(size)
+    theta = draw(st.floats(-math.pi, math.pi))
+    w2, h2 = draw(size), draw(size)
+    shift = draw(st.floats(-1.0, 1.0)) * (w + w2) / 2
+    # Second box in the first's frame: its bottom edge on the first's top
+    # edge line (stacked) or on the first's bottom edge line (nested).
+    dy = (h + h2) / 2 if kind == "stacked" else (h2 - h) / 2
+    c, s = math.cos(theta), math.sin(theta)
+    return _box_corners(cx, cy, w, h, theta), _box_corners(
+        cx + shift * c - dy * s, cy + shift * s + dy * c, w2, h2, theta
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_edge_sharing_convex_pairs())
+def test_convex_iou_and_mask_bc_finite_on_shared_edges(pair):
+    a, b = pair
+    iou = iou_convex(a, b)
+    bc = mask_bc(PolygonMask(a), PolygonMask(b))
+    assert math.isfinite(iou) and 0.0 <= iou <= 1.0
+    assert math.isfinite(bc) and 0.0 <= bc <= 1.0
 
 
 class TestIouRaster:

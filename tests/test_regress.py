@@ -9,6 +9,7 @@ from gbbkit import (
     fit_gbb,
     gradient_probe,
     hbb_to_gbb,
+    iou_ellipse_pairs,
     schedule_loss,
     similarity,
     validate_gbb,
@@ -182,6 +183,28 @@ class TestFitGbb:
         assert traj.aborted is not None
         assert "step" in traj.aborted
         assert len(traj.steps) <= 101
+
+    def test_logged_iou_is_the_exact_ellipse_iou_of_each_state(self):
+        # States are logged in blocks; every record must carry its own
+        # state's IoU, also across block ends and up to an abort.
+        target = UNIT_AT(0.0)
+
+        def rows(gs):
+            return np.array([(g.x0, g.y0, g.a, g.b, g.c) for g in gs])
+
+        full = fit_gbb(target, UNIT_AT(1.5), LossSchedule(total_steps=150), OptimizerConfig())
+        aborted = fit_gbb(
+            target,
+            hbb_to_gbb(Hbb(0.0, 0.0, 35.0, 35.0)),
+            LossSchedule(total_steps=100),
+            OptimizerConfig(step_size=1e4, parametrization="hbb4"),
+        )
+        assert len(full.steps) == 151 and aborted.aborted is not None
+        for traj in (full, aborted):
+            logged = [s for s in traj.steps if s.loss != np.inf]
+            want = iou_ellipse_pairs(rows(s.params for s in logged), rows([target] * len(logged)))
+            assert [s.iou for s in logged] == want.tolist()
+        assert aborted.final().iou == 0.0 and len(aborted.steps) >= 2
 
     def test_hbb4_requires_diagonal_init(self):
         with pytest.raises(ValueError):
