@@ -48,7 +48,6 @@ from .raster import (
     iou_hbb,
     iou_raster,
     mask_bc_raster,
-    rasterize,
 )
 from .regress import (
     FitStep,
@@ -91,7 +90,7 @@ __all__ = [
     # gradients
     "HbbGradient", "grad_l2_hbb", "grad_l1_hbb", "grad_general",
     # raster
-    "RasterGrid", "rasterize", "iou_raster", "iou_hbb", "iou_convex",
+    "RasterGrid", "iou_raster", "iou_hbb", "iou_convex",
     "iou_between", "mask_bc_raster",
     # batch kernels
     "iou_ellipse_pairs",

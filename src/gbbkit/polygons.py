@@ -1,4 +1,4 @@
-"""Exact polygon geometry: areas, moments, hulls, clipping, triangulation.
+"""Exact polygon geometry: areas, moments, hulls, clipping, overlap.
 
 All polygons are (n, 2) float arrays.  Functions that consume a
 counter-clockwise orientation say so; nothing here mutates its inputs.
@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+_CONVEX_REL_TOL = 1e-12
 
 
 def signed_area(vertices: np.ndarray) -> float:
@@ -59,9 +61,10 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     least y), and collinear boundary points are dropped.  Fewer than three
     distinct points come back as the distinct rows in lexicographic order.
     """
-    # np.unique returns its rows in lexicographic order.  Which of two equal
-    # points it keeps (0.0 == -0.0) shows in the hull's bits, so it stays.
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    # np.unique returns its rows in lexicographic order.  Adding 0.0 turns
+    # -0.0 into 0.0 first, so which of two equal points it keeps cannot show
+    # in the hull's bits.
+    pts = np.unique(np.asarray(points, dtype=float) + 0.0, axis=0)
     if len(pts) < 3:
         return pts
 
@@ -123,26 +126,30 @@ def min_area_rect(points: np.ndarray) -> tuple[np.ndarray, float, float, float]:
     return center, float(xmax - xmin), float(ymax - ymin), float(ang)
 
 
-def is_convex(vertices: np.ndarray, rel_tol: float = 1e-12) -> bool:
+def is_convex(vertices: np.ndarray) -> bool:
     """True when every turn of the counter-clockwise boundary is a left turn.
 
-    Collinear vertices are tolerated within rel_tol of the polygon scale.
+    Collinear vertices are tolerated within _CONVEX_REL_TOL of the polygon
+    scale.
     """
     v = np.asarray(vertices, dtype=float)
     d = np.roll(v, -1, axis=0) - v
     cross = d[:, 0] * np.roll(d[:, 1], -1) - d[:, 1] * np.roll(d[:, 0], -1)
     scale = float(np.max(np.abs(d))) ** 2 + 1.0
-    return bool(np.all(cross >= -rel_tol * scale))
+    return bool(np.all(cross >= -_CONVEX_REL_TOL * scale))
 
 
 def clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     """Sutherland-Hodgman clip of a polygon against a convex CCW clip polygon.
 
-    Returns the clipped polygon (possibly empty).  Area of the result is the
-    intersection area whenever the subject is convex too.  Each vertex's
-    signed side of a clip edge is computed once, and an edge that changes
-    side is cut at t = s_p / (s_p - s_q): the two sides differ in sign, so
-    t lies in [0, 1] even for an edge lying flush along the clip line.
+    Returns the clipped polygon (possibly empty).  Its signed area is the
+    intersection area for any simple CCW subject, convex or not: each
+    half-plane cut keeps the subject's winding number inside the half-plane
+    and adds only segments on the clip line, which enclose no area.  Each
+    vertex's signed side of a clip edge is computed once, and an edge that
+    changes side is cut at t = s_p / (s_p - s_q): the two sides differ in
+    sign, so t lies in [0, 1] even for an edge lying flush along the clip
+    line.
     """
     output = np.asarray(subject, dtype=float).tolist()
     clip_pts = np.asarray(clip, dtype=float).tolist()
@@ -168,70 +175,39 @@ def clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     return np.array(output) if output else np.empty((0, 2))
 
 
-def triangulate(vertices: np.ndarray) -> list[np.ndarray]:
-    """Ear-clipping triangulation of a simple CCW polygon into (3, 2) arrays."""
-    v = [np.asarray(p, dtype=float) for p in vertices]
-    n = len(v)
-    if n < 3:
-        raise ValueError("need at least 3 vertices")
-    idx = list(range(n))
-    tris: list[np.ndarray] = []
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    def point_in_tri(p, a, b, c):
-        d1, d2, d3 = cross(a, b, p), cross(b, c, p), cross(c, a, p)
-        return d1 >= 0 and d2 >= 0 and d3 >= 0
-
-    guard = 0
-    while len(idx) > 3 and guard < 2 * n * n:
-        guard += 1
-        m = len(idx)
-        for k in range(m):
-            i0, i1, i2 = idx[(k - 1) % m], idx[k], idx[(k + 1) % m]
-            a, b, c = v[i0], v[i1], v[i2]
-            if cross(a, b, c) <= 0:
-                continue  # reflex corner, not an ear
-            if any(
-                point_in_tri(v[j], a, b, c)
-                for j in idx
-                if j not in (i0, i1, i2)
-            ):
-                continue
-            tris.append(np.array([a, b, c]))
-            idx.pop(k)
-            break
-        else:
-            # Numerically stuck (e.g. collinear run); drop the flattest corner.
-            flattest = min(
-                range(m),
-                key=lambda k: abs(cross(v[idx[(k - 1) % m]], v[idx[k]], v[idx[(k + 1) % m]])),
-            )
-            idx.pop(flattest)
-    tris.append(np.array([v[idx[0]], v[idx[1]], v[idx[2]]]))
-    return tris
+def _clipped_area(subject: np.ndarray, clip: np.ndarray) -> float:
+    """Area of a simple CCW subject inside a convex CCW clip polygon."""
+    clipped = clip_convex(subject, clip)
+    return abs(signed_area(clipped)) if len(clipped) >= 3 else 0.0
 
 
 def intersection_area(poly_a: np.ndarray, poly_b: np.ndarray) -> float:
     """Exact intersection area of two simple CCW polygons.
 
-    Convex pairs use one Sutherland-Hodgman clip; otherwise both polygons are
-    triangulated and convex triangle pairs are clipped.
+    When either polygon is convex, the other is clipped against it once.
+    Otherwise a is the signed fan of triangles (a0, ai, ai+1): their signed
+    indicators sum to a's, so b clipped against each triangle, taken
+    counter-clockwise, adds its area with the triangle's sign.
     """
     a = np.asarray(poly_a, dtype=float)
     b = np.asarray(poly_b, dtype=float)
-    if is_convex(a) and is_convex(b):
-        clipped = clip_convex(a, b)
-        return abs(signed_area(clipped)) if len(clipped) >= 3 else 0.0
+    if is_convex(b):
+        return _clipped_area(a, b)
+    if is_convex(a):
+        return _clipped_area(b, a)
 
     total = 0.0
-    for ta in triangulate(a):
-        for tb in triangulate(b):
-            clipped = clip_convex(ta, tb)
-            if len(clipped) >= 3:
-                total += abs(signed_area(clipped))
-    return total
+    apex, *rest = a.tolist()
+    ox, oy = apex
+    for p, q in zip(rest, rest[1:]):
+        turn = (p[0] - ox) * (q[1] - oy) - (p[1] - oy) * (q[0] - ox)
+        if turn > 0:
+            total += _clipped_area(b, [apex, p, q])
+        elif turn < 0:
+            total -= _clipped_area(b, [apex, q, p])
+    # Where positive and negative triangles cancel outside a, rounding can
+    # leave a few ulp below zero.
+    return max(total, 0.0)
 
 
 def points_in_polygon(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:

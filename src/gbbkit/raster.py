@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .polygons import clip_convex, is_convex, signed_area
+from .polygons import _clipped_area, is_convex, signed_area
 from .types import Ellipse, Hbb, Obb, PolygonMask
 
 Shape = Union[Hbb, Obb, Ellipse, PolygonMask]
@@ -27,45 +27,28 @@ DEFAULT_CELLS = 1000
 
 # Largest shared grid accepted; bigger requests fail.  Counts hold only run
 # boundaries, O(rows x edges), but the rows and columns still size the arrays
-# of cell centers, and the rasterize() bits view takes 1 byte per cell
-# (measured; 10 MB at the cap).
+# of cell centers.
 MAX_GRID_CELLS = 10_000_000
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RasterGrid:
-    """Occupancy grid: origin corner, square cells, row-major bits.
+    """Grid of square cells: origin corner, cell size, columns and rows.
 
-    bits[r, k] covers the cell whose center is
+    Cell (r, k) has its center at
     (origin[0] + (k + 0.5) * cell_size, origin[1] + (r + 0.5) * cell_size).
-    Treat bits as read-only; rasterize returns fresh grids.
     """
 
     origin: tuple[float, float]
     cell_size: float
     width: int
     height: int
-    bits: np.ndarray
 
     def __post_init__(self):
         if not self.cell_size > 0:
             raise ValueError(f"cell_size must be positive, got {self.cell_size}")
         if self.width < 1 or self.height < 1:
             raise ValueError("grid must have at least one cell per axis")
-        bits = np.asarray(self.bits, dtype=bool)
-        if bits.shape != (self.height, self.width):
-            raise ValueError(
-                f"bits shape {bits.shape} does not match (height, width) = "
-                f"({self.height}, {self.width})"
-            )
-        object.__setattr__(self, "bits", bits)
-
-    @classmethod
-    def empty(cls, origin: tuple[float, float], cell_size: float, width: int, height: int):
-        return cls(origin, cell_size, width, height, np.zeros((height, width), dtype=bool))
-
-    def cell_count(self) -> int:
-        return int(np.count_nonzero(self.bits))
 
     def x_centers(self) -> np.ndarray:
         return self.origin[0] + (np.arange(self.width) + 0.5) * self.cell_size
@@ -201,25 +184,8 @@ def _run_cells(keys: np.ndarray) -> int:
     return int((keys[1::2] - keys[0::2]).sum())
 
 
-def rasterize(shape: Shape, grid: RasterGrid) -> RasterGrid:
-    """Occupancy of a shape on the given grid (cell-center inclusion).
-
-    A bit view of the span core's runs, for inspection and export; IoU and
-    BC counts never build it.
-    """
-    keys = _boundaries(shape, grid.x_centers(), grid.y_centers())
-    flips = np.zeros(grid.height * (grid.width + 1), dtype=np.uint8)
-    np.bitwise_xor.at(flips, keys, 1)
-    np.bitwise_xor.accumulate(flips, out=flips)
-    bits = flips.view(bool).reshape(grid.height, grid.width + 1)[:, : grid.width]
-    return RasterGrid(grid.origin, grid.cell_size, grid.width, grid.height, bits)
-
-
 def shared_grid(a: Shape, b: Shape, cell_size: float) -> RasterGrid:
-    """Empty grid covering both shapes' bounds, padded by one cell.
-
-    Its bits are a read-only all-False view, so no memory per cell is taken.
-    """
+    """Grid covering both shapes' bounds, padded by one cell."""
     if not cell_size > 0:
         raise ValueError(f"cell_size must be positive, got {cell_size}")
     ax0, ay0, ax1, ay1 = shape_bounds(a)
@@ -231,8 +197,7 @@ def shared_grid(a: Shape, b: Shape, cell_size: float) -> RasterGrid:
         raise ValueError(f"{nx:.0f} x {ny:.0f} cells of size {cell_size!r} exceed MAX_GRID_CELLS")
     width = max(1, int(math.ceil(nx)))
     height = max(1, int(math.ceil(ny)))
-    bits = np.broadcast_to(False, (height, width))
-    return RasterGrid((xmin, ymin), cell_size, width, height, bits)
+    return RasterGrid((xmin, ymin), cell_size, width, height)
 
 
 def default_cell_size(a: Shape, b: Shape, cells: int = DEFAULT_CELLS) -> float:
@@ -294,8 +259,7 @@ def iou_convex(a: np.ndarray | PolygonMask, b: np.ndarray | PolygonMask) -> floa
         raise ValueError("polygons must be counter-clockwise with positive area")
     if not (is_convex(pa) and is_convex(pb)):
         raise ValueError("iou_convex requires convex polygons; use iou_raster instead")
-    clipped = clip_convex(pa, pb)
-    inter = abs(signed_area(clipped)) if len(clipped) >= 3 else 0.0
+    inter = _clipped_area(pa, pb)
     # Rounding can put a flush pair's clipped area a few ulp above the smaller one.
     inter = min(inter, area_a, area_b)
     return inter / (area_a + area_b - inter)
@@ -343,7 +307,6 @@ __all__ = [
     "shape_bounds",
     "obb_corners",
     "hbb_corners",
-    "rasterize",
     "shared_grid",
     "default_cell_size",
     "iou_raster",

@@ -150,12 +150,11 @@ class TestSyntheticCorpus:
         # Containment sanity for the fidelity study: the bounding box always
         # covers the polygon's occupancy cells, and its IoU never exceeds 1.
         from gbbkit import mask_to_hbb
-        from gbbkit.raster import default_cell_size, iou_raster, rasterize, shared_grid
+        from gbbkit.raster import _occupancy_counts, default_cell_size, iou_raster
 
         for rec in generate_synthetic("default", n_per_category=15, seed=2):
             box = mask_to_hbb(rec.polygon)
-            grid = shared_grid(box, rec.polygon, default_cell_size(box, rec.polygon, 128))
-            poly_bits = rasterize(rec.polygon, grid).bits
-            box_bits = rasterize(box, grid).bits
-            assert not np.any(poly_bits & ~box_bits)
-            assert iou_raster(box, rec.polygon, grid.cell_size) <= 1.0
+            cell = default_cell_size(box, rec.polygon, 128)
+            _, count_poly, inter = _occupancy_counts(box, rec.polygon, cell)
+            assert inter == count_poly
+            assert iou_raster(box, rec.polygon, cell) <= 1.0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gbbkit.annotations import SYNTHETIC_PRESETS, generate_synthetic
@@ -15,8 +15,9 @@ from gbbkit.polygons import (
     points_in_polygon,
     polygon_moments,
     signed_area,
-    triangulate,
 )
+from gbbkit.raster import _occupancy_counts
+from gbbkit.types import PolygonMask
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 UNIT_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -183,20 +184,6 @@ class TestClipping:
         assert intersection_area(ell, upper) == pytest.approx(1.0, abs=1e-9)
 
 
-class TestTriangulate:
-    def test_areas_sum_to_polygon_area(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            # Star-shaped (hence simple) polygon around the origin.
-            n = rng.integers(5, 12)
-            angles = np.sort(rng.uniform(0, 2 * math.pi, size=n))
-            radii = rng.uniform(0.5, 2.0, size=n)
-            poly = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-            tris = triangulate(poly)
-            total = sum(abs(signed_area(t)) for t in tris)
-            assert total == pytest.approx(signed_area(poly), rel=1e-9)
-
-
 class TestPointsInPolygon:
     def test_square_interior_and_exterior(self):
         pts = np.array([[0.5, 0.5], [1.5, 0.5], [-0.1, 0.2], [0.9, 0.99]])
@@ -226,11 +213,11 @@ class TestPointsInPolygon:
 
 # Reference implementations: the per-edge caliper loop and the numpy-array
 # monotone chain that the vectorized versions replace.  They must agree to
-# the bit, signed zeros included.
+# the bit, signed zeros included; both read -0.0 as 0.0.
 
 
 def _reference_convex_hull(points):
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    pts = np.unique(np.asarray(points, dtype=float) + 0.0, axis=0)
     if len(pts) < 3:
         return pts
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
@@ -336,3 +323,81 @@ def test_hull_and_min_area_rect_match_reference_exactly(points):
     center, w, h, theta = min_area_rect(points)
     assert np.array_equal(center, want_rect[0])
     assert (w, h, theta) == want_rect[1:]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.one_of(_lattices, _signed_zero_clouds()))
+def test_hull_and_rect_ignore_the_sign_of_zero(points):
+    flipped = np.where(points == 0.0, -points, points)
+    assert convex_hull(points).tobytes() == convex_hull(flipped).tobytes()
+    try:
+        theta = min_area_rect(points)[3]
+    except ValueError:
+        with pytest.raises(ValueError):
+            min_area_rect(flipped)
+        return
+    assert min_area_rect(flipped)[3].hex() == theta.hex()
+
+
+# Simple CCW polygons for intersection_area.  Stars and L-shapes are not
+# convex, so a pair of them goes through the signed fan of the first; their
+# vertex lists start anywhere, which puts the fan's apex on reflex vertices
+# too.
+
+
+@st.composite
+def _stars(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(5, 12))
+    # One vertex per sector keeps every angular gap under pi, so the star is simple.
+    angles = (np.arange(n) + rng.uniform(0, 1, n)) * (2 * math.pi / n)
+    radii = rng.uniform(0.3, 2.0, n)
+    return np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+
+
+_L_SHAPE = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [-1.0, 1.0]])
+
+
+@st.composite
+def _l_shapes(draw):
+    poly = _L_SHAPE
+    if draw(st.booleans()):
+        # Edge midpoints give fan triangles with a zero turn, the apex
+        # collinear with an edge.
+        mids = (poly + np.roll(poly, -1, axis=0)) / 2
+        poly = np.column_stack([poly, mids]).reshape(-1, 2)
+    return np.roll(poly, draw(st.integers(0, len(poly) - 1)), axis=0)
+
+
+@st.composite
+def _convex(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return convex_hull(rng.normal(size=(draw(st.integers(3, 10)), 2)))
+
+
+@st.composite
+def _placed(draw):
+    poly = draw(st.one_of(_stars(), _l_shapes(), _convex()))
+    assume(len(poly) >= 3)
+    shift = (draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5)))
+    return rotate(poly * draw(st.floats(0.5, 2.0)), draw(st.floats(-math.pi, math.pi))) + shift
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_placed(), _placed())
+def test_intersection_area_matches_raster_oracle(a, b):
+    area_a, area_b = signed_area(a), signed_area(b)
+    both = np.vstack([a, b])
+    extent = float(np.max(both.max(axis=0) - both.min(axis=0)))
+    tol = 1e-12 * extent**2
+    inter = intersection_area(a, b)
+    assert abs(inter - intersection_area(b, a)) <= tol
+    assert 0.0 <= inter <= min(area_a, area_b) + tol
+
+    # Only cells crossed by an edge of a or b can be counted wrongly, and an
+    # edge crosses at most |dx| / cell + |dy| / cell + 2 cells.
+    cell = extent / 1000
+    _, _, cells = _occupancy_counts(PolygonMask(a), PolygonMask(b), cell)
+    edges = np.concatenate([np.roll(a, -1, axis=0) - a, np.roll(b, -1, axis=0) - b])
+    bound = cell * float(np.abs(edges).sum()) + 2 * cell**2 * len(edges)
+    assert abs(inter - cells * cell**2) <= bound

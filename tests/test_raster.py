@@ -9,6 +9,7 @@ from gbbkit import Ellipse, Hbb, Obb, PolygonMask, generate_synthetic, mask_bc, 
 from gbbkit.polygons import convex_hull, min_area_rect, points_in_polygon, signed_area
 from gbbkit.raster import (
     RasterGrid,
+    _boundaries,
     default_cell_size,
     hbb_corners,
     iou_between,
@@ -17,7 +18,6 @@ from gbbkit.raster import (
     iou_raster,
     mask_bc_raster,
     obb_corners,
-    rasterize,
     shared_grid,
 )
 
@@ -31,15 +31,23 @@ def rotated_square(phi, center=(0.5, 0.5)):
     return (UNIT_SQUARE - ctr) @ rot.T + ctr
 
 
+def _run_bits(shape, grid):
+    """Cells inside the span core's runs, as a (height, width) bool grid."""
+    keys = _boundaries(shape, grid.x_centers(), grid.y_centers())
+    flips = np.bincount(keys, minlength=grid.height * (grid.width + 1))
+    inside = np.cumsum(flips) % 2 == 1
+    return inside.reshape(grid.height, grid.width + 1)[:, : grid.width]
+
+
 class TestRasterGrid:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            RasterGrid((0, 0), 1.0, 3, 2, np.zeros((3, 3), dtype=bool))
+            RasterGrid((0, 0), 1.0, 0, 2)
         with pytest.raises(ValueError):
-            RasterGrid((0, 0), 0.0, 3, 2, np.zeros((2, 3), dtype=bool))
+            RasterGrid((0, 0), 0.0, 3, 2)
 
     def test_centers(self):
-        g = RasterGrid.empty((1.0, 2.0), 0.5, 4, 2)
+        g = RasterGrid((1.0, 2.0), 0.5, 4, 2)
         np.testing.assert_allclose(g.x_centers(), [1.25, 1.75, 2.25, 2.75])
         np.testing.assert_allclose(g.y_centers(), [2.25, 2.75])
 
@@ -47,22 +55,22 @@ class TestRasterGrid:
 class TestRasterize:
     def test_half_plane_split_exact_columns(self):
         # Rectangle covering the left half marks exactly width/2 columns.
-        grid = RasterGrid.empty((0.0, 0.0), 0.1, 10, 4)
+        grid = RasterGrid((0.0, 0.0), 0.1, 10, 4)
         left = Hbb(0.25, 0.2, 0.5, 0.4)
-        bits = rasterize(left, grid).bits
+        bits = _run_bits(left, grid)
         assert bits.sum() == 5 * 4
         assert bits[:, :5].all()
         assert not bits[:, 5:].any()
 
     def test_full_grid_rectangle(self):
-        grid = RasterGrid.empty((0.0, 0.0), 0.1, 8, 6)
+        grid = RasterGrid((0.0, 0.0), 0.1, 8, 6)
         big = Hbb(0.4, 0.3, 10.0, 10.0)
-        assert rasterize(big, grid).bits.all()
+        assert _run_bits(big, grid).all()
 
     def test_tiny_shape_marks_no_cells(self):
-        grid = RasterGrid.empty((0.0, 0.0), 1.0, 4, 4)
+        grid = RasterGrid((0.0, 0.0), 1.0, 4, 4)
         tiny = Hbb(0.1, 0.1, 0.05, 0.05)
-        assert rasterize(tiny, grid).cell_count() == 0
+        assert not _run_bits(tiny, grid).any()
 
     def test_polygon_matches_point_test_bit_for_bit(self):
         rng = np.random.default_rng(0)
@@ -73,7 +81,7 @@ class TestRasterize:
             poly = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
             mask = PolygonMask(poly)
             grid = shared_grid(mask, mask, rng.uniform(0.05, 0.3))
-            bits = rasterize(mask, grid).bits
+            bits = _run_bits(mask, grid)
             xs, ys = np.meshgrid(grid.x_centers(), grid.y_centers())
             pts = np.column_stack([xs.ravel(), ys.ravel()])
             expected = points_in_polygon(pts, poly).reshape(bits.shape)
@@ -82,7 +90,7 @@ class TestRasterize:
     def test_ellipse_matches_quadratic_form(self):
         e = Ellipse(0.3, -0.2, 2.0, 1.0, 0.7)
         grid = shared_grid(e, e, 0.05)
-        bits = rasterize(e, grid).bits
+        bits = _run_bits(e, grid)
         c, s = math.cos(e.theta), math.sin(e.theta)
         for r in range(0, grid.height, 7):
             for k in range(0, grid.width, 7):
@@ -97,8 +105,8 @@ class TestRasterize:
         obb = Obb(0.5, 0.2, 2.0, 1.0, 0.4)
         grid = shared_grid(obb, obb, 0.04)
         np.testing.assert_array_equal(
-            rasterize(obb, grid).bits,
-            rasterize(PolygonMask(obb_corners(obb)), grid).bits,
+            _run_bits(obb, grid),
+            _run_bits(PolygonMask(obb_corners(obb)), grid),
         )
 
 
@@ -434,7 +442,7 @@ def _assert_matches_dense(a, b, cell):
         return
     assert iou_raster(a, b, cell) == inter / (count_a + count_b - inter)
     assert mask_bc_raster(a, b, cell) == inter / math.sqrt(count_a * count_b)
-    np.testing.assert_array_equal(rasterize(a, grid).bits, bits_a)
+    np.testing.assert_array_equal(_run_bits(a, grid), bits_a)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -461,7 +469,7 @@ def test_chord_ends_snap_to_quadratic_form(a, b):
 
 def test_ellipse_runs_clipped_at_grid_edges():
     # Runs reaching past the first or last column stop at the grid edge.
-    grid = RasterGrid.empty((-0.5, -0.5), 0.1, 7, 5)
+    grid = RasterGrid((-0.5, -0.5), 0.1, 7, 5)
     clipped = (Ellipse(0, 0, 3, 1, 0.3), Ellipse(0.2, 0, 0.4, 0.3, 1.0), Ellipse(-0.6, 0, 0.5, 0.4, 0))
     for e in clipped:
-        np.testing.assert_array_equal(rasterize(e, grid).bits, _dense_bits(e, grid))
+        np.testing.assert_array_equal(_run_bits(e, grid), _dense_bits(e, grid))
