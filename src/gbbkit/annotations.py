@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polygons import signed_area
-from .raster import obb_corners
+from .convert import obb_corners
+from .polygons import is_simple, signed_area
 from .types import Obb, PolygonMask
 
 logger = logging.getLogger(__name__)
@@ -54,6 +54,8 @@ def _polygon_from_flat(coords) -> PolygonMask:
     # Normalize orientation; image-coordinate polygons usually come clockwise.
     if signed_area(verts) < 0:
         verts = verts[::-1]
+    if not is_simple(verts):
+        raise ValueError("segmentation edges cross; the polygon is not simple")
     return PolygonMask(verts)
 
 

@@ -37,6 +37,7 @@ from .convert import (
     to_polygon,
 )
 from .metrics import similarity
+from .polygons import is_simple
 from .raster import default_cell_size, iou_between, iou_raster
 from .regress import FitTrajectory, LossSchedule, OptimizerConfig, fit_gbb
 from .types import Ellipse, GaussBox, Hbb, Obb, PolygonMask, require_valid_gbb
@@ -89,7 +90,10 @@ def parse_shape(obj):
             verts = obj.get("vertices")
             if not isinstance(verts, list):
                 raise UsageError("polygon needs a 'vertices' list of [x, y] pairs")
-            return PolygonMask(np.asarray(verts, dtype=float))
+            poly = PolygonMask(np.asarray(verts, dtype=float))
+            if not is_simple(poly.vertices):
+                raise UsageError("polygon edges cross; vertices must outline a simple polygon")
+            return poly
         if isinstance(kind, str) and kind in _SHAPE_KEYS:
             cls, keys = _SHAPE_KEYS[kind]
             shape = cls(*(_num(obj, key) for key in keys))
@@ -361,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score JSON-lines shape pairs to CSV")
     p.add_argument("pairs", help="JSON-lines file, one shape pair per line")
     p.add_argument("--out", help="output CSV path (default stdout)")
-    p.add_argument("--cell-size", type=float, help="raster cell size for IoU fallback")
+    p.add_argument("--cell-size", type=float, help="raster cell size for pairs with an ellipse")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("scatter", help="random-box IoU vs ProbIoU scatter CSV")

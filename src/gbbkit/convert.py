@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .polygons import min_area_rect, polygon_moments
-from .raster import hbb_corners, obb_corners
 from .types import (
     AngleCov,
     ConstrainedCovParams,
@@ -190,17 +191,29 @@ def to_obb(shape) -> Obb:
     return gbb_to_obb(shape_to_gbb(shape))
 
 
-def to_polygon(shape) -> PolygonMask:
-    """Polygon of a crisp shape: a box becomes its four corners."""
+def obb_corners(box: Obb) -> np.ndarray:
+    """Counter-clockwise corners of an oriented box as a (4, 2) array."""
+    c, s = math.cos(box.theta), math.sin(box.theta)
+    hw, hh = box.w / 2.0, box.h / 2.0
+    local = np.array([[-hw, -hh], [hw, -hh], [hw, hh], [-hw, hh]])
+    rot = np.array([[c, -s], [s, c]])
+    return local @ rot.T + np.array([box.x0, box.y0])
+
+
+def _vertices(shape) -> np.ndarray:
+    """Vertex array of a crisp shape: a polygon's own, a box's four corners."""
     if isinstance(shape, PolygonMask):
-        return shape
-    if isinstance(shape, Hbb):
-        return PolygonMask(hbb_corners(shape))
-    if isinstance(shape, Obb):
-        return PolygonMask(obb_corners(shape))
+        return shape.vertices
+    if isinstance(shape, (Hbb, Obb)):
+        return obb_corners(to_obb(shape))
     raise ValueError(
         "polygon output needs a box or polygon input; fuzzy shapes convert to ellipse"
     )
+
+
+def to_polygon(shape) -> PolygonMask:
+    """Polygon of a crisp shape: a box becomes its four corners."""
+    return shape if isinstance(shape, PolygonMask) else PolygonMask(_vertices(shape))
 
 
 def to_crisp(shape):
@@ -257,6 +270,7 @@ __all__ = [
     "shape_to_gbb",
     "to_hbb",
     "to_obb",
+    "obb_corners",
     "to_polygon",
     "to_crisp",
     "r_from_tau",

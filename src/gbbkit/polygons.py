@@ -139,6 +139,22 @@ def is_convex(vertices: np.ndarray) -> bool:
     return bool(np.all(cross >= -_CONVEX_REL_TOL * scale))
 
 
+def is_simple(vertices: np.ndarray) -> bool:
+    """True when no two edges of the closed boundary properly cross.
+
+    Two edges cross properly when each one's ends lie strictly on opposite
+    sides of the other's line.  Edges that only touch and repeated vertices
+    pass.  O(n^2) time and memory.
+    """
+    v = np.asarray(vertices, dtype=float)
+    e = np.roll(v, -1, axis=0) - v
+    # side[i, j]: sign of vertex i relative to the line of edge j.
+    rel = v[:, None, :] - v[None, :, :]
+    side = np.sign(e[:, 0] * rel[..., 1] - e[:, 1] * rel[..., 0])
+    straddles = side * np.roll(side, -1, axis=0) < 0
+    return not np.any(straddles & straddles.T)
+
+
 def clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     """Sutherland-Hodgman clip of a polygon against a convex CCW clip polygon.
 

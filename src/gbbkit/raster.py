@@ -1,4 +1,4 @@
-"""IoU oracles: analytic box IoU, convex-polygon IoU, and grid rasterization.
+"""IoU oracles: analytic box IoU, exact polygon IoU, and grid rasterization.
 
 Rasterization marks a cell occupied iff its center lies inside the shape
 (even-odd rule for polygons, quadratic-form test for ellipses).  Cell-center
@@ -16,7 +16,8 @@ from typing import Union
 
 import numpy as np
 
-from .polygons import _clipped_area, is_convex, signed_area
+from .convert import _vertices
+from .polygons import intersection_area, signed_area
 from .types import Ellipse, Hbb, Obb, PolygonMask
 
 Shape = Union[Hbb, Obb, Ellipse, PolygonMask]
@@ -57,44 +58,26 @@ class RasterGrid:
         return self.origin[1] + (np.arange(self.height) + 0.5) * self.cell_size
 
 
-def shape_bounds(shape: Shape) -> tuple[float, float, float, float]:
-    """Tight axis-aligned bounds (xmin, ymin, xmax, ymax) of a shape."""
+def _region(shape) -> Ellipse | np.ndarray:
+    """An ellipse as it is; any other shape as its vertex array."""
+    return shape if isinstance(shape, (Ellipse, np.ndarray)) else _vertices(shape)
+
+
+def shape_bounds(shape: Shape | np.ndarray) -> tuple[float, float, float, float]:
+    """Tight axis-aligned bounds (xmin, ymin, xmax, ymax) of a shape or vertex array."""
     if isinstance(shape, Hbb):
-        return (
-            shape.x0 - shape.w / 2.0,
-            shape.y0 - shape.h / 2.0,
-            shape.x0 + shape.w / 2.0,
-            shape.y0 + shape.h / 2.0,
-        )
-    if isinstance(shape, Obb):
-        corners = obb_corners(shape)
-        xmin, ymin = corners.min(axis=0)
-        xmax, ymax = corners.max(axis=0)
-        return float(xmin), float(ymin), float(xmax), float(ymax)
-    if isinstance(shape, Ellipse):
-        c, s = math.cos(shape.theta), math.sin(shape.theta)
-        ex = math.hypot(shape.semi_major * c, shape.semi_minor * s)
-        ey = math.hypot(shape.semi_major * s, shape.semi_minor * c)
-        return shape.x0 - ex, shape.y0 - ey, shape.x0 + ex, shape.y0 + ey
-    if isinstance(shape, PolygonMask):
-        xmin, ymin = shape.vertices.min(axis=0)
-        xmax, ymax = shape.vertices.max(axis=0)
-        return float(xmin), float(ymin), float(xmax), float(ymax)
-    raise TypeError(f"unsupported shape type {type(shape).__name__}")
-
-
-def obb_corners(box: Obb) -> np.ndarray:
-    """Counter-clockwise corners of an oriented box as a (4, 2) array."""
-    c, s = math.cos(box.theta), math.sin(box.theta)
-    hw, hh = box.w / 2.0, box.h / 2.0
-    local = np.array([[-hw, -hh], [hw, -hh], [hw, hh], [-hw, hh]])
-    rot = np.array([[c, -s], [s, c]])
-    return local @ rot.T + np.array([box.x0, box.y0])
-
-
-def hbb_corners(box: Hbb) -> np.ndarray:
-    """Counter-clockwise corners of an axis-aligned box as a (4, 2) array."""
-    return obb_corners(Obb(box.x0, box.y0, box.w, box.h, 0.0))
+        # Arithmetic, not corners: fidelity sizes a grid from an hbb per record.
+        hw, hh = shape.w / 2.0, shape.h / 2.0
+        return shape.x0 - hw, shape.y0 - hh, shape.x0 + hw, shape.y0 + hh
+    region = _region(shape)
+    if isinstance(region, Ellipse):
+        c, s = math.cos(region.theta), math.sin(region.theta)
+        ex = math.hypot(region.semi_major * c, region.semi_minor * s)
+        ey = math.hypot(region.semi_major * s, region.semi_minor * c)
+        return region.x0 - ex, region.y0 - ey, region.x0 + ex, region.y0 + ey
+    xmin, ymin = region.min(axis=0)
+    xmax, ymax = region.max(axis=0)
+    return float(xmin), float(ymin), float(xmax), float(ymax)
 
 
 # Span core.  A shape's occupancy on a grid is a sorted array of run
@@ -163,20 +146,15 @@ def _ellipse_runs(e: Ellipse, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarra
     return left, right
 
 
-def _boundaries(shape: Shape, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def _boundaries(shape: Shape | np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Sorted run boundaries of a shape on the grid with these cell centers."""
-    if isinstance(shape, Hbb):
-        return _polygon_boundaries(hbb_corners(shape), xs, ys)
-    if isinstance(shape, Obb):
-        return _polygon_boundaries(obb_corners(shape), xs, ys)
-    if isinstance(shape, PolygonMask):
-        return _polygon_boundaries(shape.vertices, xs, ys)
-    if isinstance(shape, Ellipse):
-        left, right = _ellipse_runs(shape, xs, ys)
+    region = _region(shape)
+    if isinstance(region, Ellipse):
+        left, right = _ellipse_runs(region, xs, ys)
         rows = np.nonzero(right > left)[0]
         base = rows * (len(xs) + 1)
         return np.column_stack((base + left[rows], base + right[rows])).ravel()
-    raise TypeError(f"unsupported shape type {type(shape).__name__}")
+    return _polygon_boundaries(region, xs, ys)
 
 
 def _run_cells(keys: np.ndarray) -> int:
@@ -210,6 +188,7 @@ def default_cell_size(a: Shape, b: Shape, cells: int = DEFAULT_CELLS) -> float:
 
 def _occupancy_counts(a: Shape, b: Shape, cell_size: float | None) -> tuple[int, int, int]:
     """Occupied cells of a, of b, and of both on their shared grid."""
+    a, b = _region(a), _region(b)
     if cell_size is None:
         cell_size = default_cell_size(a, b)
     grid = shared_grid(a, b, cell_size)
@@ -249,51 +228,38 @@ def iou_hbb(a: Hbb, b: Hbb) -> float:
     return inter / (a.w * a.h + b.w * b.h - inter)
 
 
-def iou_convex(a: np.ndarray | PolygonMask, b: np.ndarray | PolygonMask) -> float:
-    """Exact IoU of two convex counter-clockwise polygons (clip + shoelace)."""
+def iou_polygon(a: np.ndarray | PolygonMask, b: np.ndarray | PolygonMask) -> float:
+    """Exact IoU of two simple counter-clockwise polygons (clip + shoelace)."""
     pa = a.vertices if isinstance(a, PolygonMask) else np.asarray(a, dtype=float)
     pb = b.vertices if isinstance(b, PolygonMask) else np.asarray(b, dtype=float)
     area_a = signed_area(pa)
     area_b = signed_area(pb)
     if len(pa) < 3 or len(pb) < 3 or area_a <= 0 or area_b <= 0:
         raise ValueError("polygons must be counter-clockwise with positive area")
-    if not (is_convex(pa) and is_convex(pb)):
-        raise ValueError("iou_convex requires convex polygons; use iou_raster instead")
-    inter = _clipped_area(pa, pb)
     # Rounding can put a flush pair's clipped area a few ulp above the smaller one.
-    inter = min(inter, area_a, area_b)
+    inter = min(intersection_area(pa, pb), area_a, area_b)
     return inter / (area_a + area_b - inter)
 
 
 def iou_between(a: Shape, b: Shape, cell_size: float | None = None) -> float:
-    """IoU with the cheapest exact route available for the pair.
+    """IoU of two crisp shapes by one of three routes.
 
-    Box/convex-polygon pairs are computed analytically; anything involving
-    an ellipse or a non-convex polygon falls back to rasterization.
+    Two hbbs take iou_hbb and any pair with an ellipse takes iou_raster
+    (cell_size applies to it alone); every other box or polygon pair takes
+    the exact iou_polygon.
     """
     if isinstance(a, Hbb) and isinstance(b, Hbb):
         return iou_hbb(a, b)
-
-    def as_convex(shape):
-        if isinstance(shape, Hbb):
-            return hbb_corners(shape)
-        if isinstance(shape, Obb):
-            return obb_corners(shape)
-        if isinstance(shape, PolygonMask) and is_convex(shape.vertices):
-            return shape.vertices
-        return None
-
-    pa, pb = as_convex(a), as_convex(b)
-    if pa is not None and pb is not None:
-        return iou_convex(pa, pb)
-    return iou_raster(a, b, cell_size)
+    if isinstance(a, Ellipse) or isinstance(b, Ellipse):
+        return iou_raster(a, b, cell_size)
+    return iou_polygon(_vertices(a), _vertices(b))
 
 
 def mask_bc_raster(m1: Shape, m2: Shape, cell_size: float | None = None) -> float:
     """Rasterized uniform-mask Bhattacharyya coefficient.
 
-    Fallback for inputs the exact polygon clipper cannot handle (shapes
-    without a polygon form, or polygons that are not simple).
+    Fallback for shapes without a polygon form (ellipses), which the exact
+    polygon clipper cannot handle.
     """
     count_a, count_b, inter = _occupancy_counts(m1, m2, cell_size)
     return inter / math.sqrt(count_a * count_b)
@@ -305,13 +271,11 @@ __all__ = [
     "RasterGrid",
     "Shape",
     "shape_bounds",
-    "obb_corners",
-    "hbb_corners",
     "shared_grid",
     "default_cell_size",
     "iou_raster",
     "iou_hbb",
-    "iou_convex",
+    "iou_polygon",
     "iou_between",
     "mask_bc_raster",
 ]

@@ -107,8 +107,9 @@ class PolygonMask:
     """Simple polygon standing in for a segmentation mask.
 
     Vertices are stored as an (n, 2) float array, ordered counter-clockwise
-    (positive signed area).  Simplicity (no self-intersection) is assumed,
-    not verified.
+    (positive signed area).  Simplicity (no self-intersection) is not checked
+    here but where polygons enter the program: `cli.parse_shape` and
+    `annotations.ingest_annotations` reject crossing edges (polygons.is_simple).
     """
 
     vertices: np.ndarray

@@ -76,6 +76,20 @@ class TestIngest:
         assert len(result.records) == 1
         assert result.skipped_malformed == 2
 
+    def test_self_intersecting_polygon_skipped_and_counted(self, tmp_path):
+        # A bow-tie of unequal lobes: nonzero area, but two edges cross.
+        bow_tie = [0, 1, 4, 0, 4, 2, 0, 0]
+        path = write_coco(
+            tmp_path,
+            [
+                {"image_id": 1, "category_id": 7, "segmentation": [bow_tie]},
+                {"image_id": 2, "category_id": 7, "segmentation": [TRIANGLE]},
+            ],
+        )
+        result = ingest_annotations(path)
+        assert [r.image_id for r in result.records] == ["2"]
+        assert result.skipped_malformed == 1
+
     def test_clockwise_polygons_are_normalized(self, tmp_path):
         clockwise = [0.0, 0.0, 0.0, 3.0, 4.0, 0.0]
         path = write_coco(

@@ -11,6 +11,9 @@ from gbbkit import cli
 from gbbkit.cli import main
 
 HBB_JSON = json.dumps({"type": "hbb", "x": 3, "y": 4, "w": 6, "h": 12})
+# Two triangles joined at a crossing, the right one larger, so the signed
+# area (2) is positive and only the crossing edges make it invalid.
+BOW_TIE = {"type": "polygon", "vertices": [[0, 1], [4, 0], [4, 2], [0, 0]]}
 
 
 def run_main(argv, capsys):
@@ -54,6 +57,12 @@ class TestConvert:
         code, _, err = run_main(["convert", shape, "obb"], capsys)
         assert code == 2
         assert "finite" in err
+
+    def test_self_intersecting_polygon_exits_2(self, capsys):
+        code, out, err = run_main(["convert", json.dumps(BOW_TIE), "obb"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "polygon edges cross" in err
 
     def test_polygon_to_obb(self, capsys):
         shape = json.dumps(
@@ -148,6 +157,16 @@ class TestScore:
         assert code == 0
         assert "skipped 0" in err
         assert float(read_csv(out_csv)[0]["iou"]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_self_intersecting_polygon_skipped_with_reason(self, tmp_path, capsys):
+        box = {"type": "obb", "x": 2, "y": 1, "w": 4, "h": 2, "theta": 0.0}
+        path = self._write_pairs(tmp_path, [json.dumps([BOW_TIE, box]), json.dumps([box, box])])
+        out_csv = tmp_path / "scores.csv"
+        code, _, err = run_main(["score", path, "--out", str(out_csv)], capsys)
+        assert code == 0
+        assert len(read_csv(out_csv)) == 1
+        assert "line 1: skipped (polygon edges cross" in err
+        assert "scored 1 pairs, skipped 1" in err
 
     def test_non_finite_metric_skipped_with_reason(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "iou_between", lambda a, b, cell_size: math.nan)

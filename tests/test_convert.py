@@ -34,7 +34,7 @@ from gbbkit import (
     to_polygon,
     validate_gbb,
 )
-from gbbkit.raster import hbb_corners, obb_corners
+from gbbkit.convert import obb_corners
 
 
 def rect_polygon(cx, cy, w, h, theta=0.0):
@@ -313,7 +313,8 @@ class TestBoxAndPolygonTargets:
     def test_to_polygon_takes_only_crisp_shapes(self):
         hbb, obb, poly = Hbb(1, 2, 3, 1), Obb(1, 2, 3, 1, 0.4), rect_polygon(1, 2, 3, 1)
         assert to_polygon(poly) is poly
-        assert np.array_equal(to_polygon(hbb).vertices, hbb_corners(hbb))
+        corners = [[-0.5, 1.5], [2.5, 1.5], [2.5, 2.5], [-0.5, 2.5]]
+        assert np.array_equal(to_polygon(hbb).vertices, corners)
         assert np.array_equal(to_polygon(obb).vertices, obb_corners(obb))
         for fuzzy in (GaussBox(1, 2, 2, 1, 0.3), Ellipse(1, 2, 2, 1, 0.3)):
             with pytest.raises(ValueError, match="fuzzy shapes convert to ellipse"):

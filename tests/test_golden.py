@@ -122,7 +122,7 @@ def test_score_mixed_golden(tmp_path, capsys):
     pairs.write_text("\n".join(_mixed_pairs()) + "\n", encoding="utf-8")
     out = _cli(["score", str(pairs)], capsys)
     assert "zero cells" in out
-    assert _digest(out) == "2a0164fe3358a375"
+    assert _digest(out) == "a23a8c88e5a343e4"
 
 
 _REGRESS_SCHEDULE = {"omega1": 1.0, "omega2": 5.0, "switch_fraction": 0.5, "total_steps": 400}

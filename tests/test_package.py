@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -14,3 +16,24 @@ MODULES = [gbbkit] + [
 def test_every_exported_name_resolves(module):
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def _imported_modules(path):
+    """Dotted names a source file imports; relative imports read as gbbkit's."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["gbbkit" if node.level else "", node.module]))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("name", ["types", "polygons", "convert", "annotations"])
+def test_lower_layers_import_neither_raster_nor_cli(name):
+    # Geometry and conversions sit below the IoU routes and the command line.
+    imported = _imported_modules(Path(gbbkit.__file__).parent / f"{name}.py")
+    upper = {"gbbkit.raster", "gbbkit.cli"}
+    assert {m for m in imported if ".".join(m.split(".")[:2]) in upper} == set()

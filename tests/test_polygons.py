@@ -11,12 +11,13 @@ from gbbkit.polygons import (
     convex_hull,
     intersection_area,
     is_convex,
+    is_simple,
     min_area_rect,
     points_in_polygon,
     polygon_moments,
     signed_area,
 )
-from gbbkit.raster import _occupancy_counts
+from gbbkit.raster import _occupancy_counts, iou_polygon
 from gbbkit.types import PolygonMask
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -182,6 +183,57 @@ class TestClipping:
         assert intersection_area(ell, lower) == pytest.approx(2.0, abs=1e-9)
         upper = lower + [0.0, 1.0]
         assert intersection_area(ell, upper) == pytest.approx(1.0, abs=1e-9)
+
+
+def _reference_is_simple(v):
+    """Pairwise loop: some edge pair has each edge's ends strictly apart
+    across the other edge's line."""
+    pts = [tuple(p) for p in np.asarray(v, dtype=float).tolist()]
+    n = len(pts)
+
+    def side(k, j):
+        (x, y), (x0, y0), (x1, y1) = pts[k], pts[j], pts[(j + 1) % n]
+        return np.sign((x1 - x0) * (y - y0) - (y1 - y0) * (x - x0))
+
+    def straddles(i, j):
+        return side(i, j) * side((i + 1) % n, j) < 0
+
+    return not any(straddles(i, j) and straddles(j, i) for i in range(n) for j in range(n))
+
+
+class TestIsSimple:
+    def test_bow_tie_is_rejected(self):
+        # Unequal lobes give a positive signed area of 2.
+        bow_tie = np.array([[0.0, 1.0], [4.0, 0.0], [4.0, 2.0], [0.0, 0.0]])
+        assert signed_area(bow_tie) == 2.0
+        assert not is_simple(bow_tie)
+
+    def test_pentagram_is_rejected_though_every_turn_is_left(self):
+        phi = math.pi / 2 + np.arange(5) * 4 * math.pi / 5
+        pentagram = np.column_stack([np.cos(phi), np.sin(phi)])
+        assert is_convex(pentagram) and signed_area(pentagram) > 0
+        assert not is_simple(pentagram)
+
+    def test_repeated_vertex_is_accepted(self):
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        assert is_simple(square)
+
+    def test_touching_edges_are_accepted(self):
+        # Two triangles meeting where a vertex rests on the bottom edge.
+        pinched = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [2.0, 0.0], [0.0, 2.0]])
+        assert is_simple(pinched)
+
+    def test_synthetic_polygons_are_simple(self):
+        for record in generate_synthetic("default", 30, 3):
+            assert is_simple(record.polygon.vertices)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(3, 9).flatmap(
+        lambda n: st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=n, max_size=n)
+    ))
+    def test_matches_pairwise_reference(self, points):
+        # Small integer lattices: many touching, collinear and repeated cases.
+        assert is_simple(np.array(points, dtype=float)) == _reference_is_simple(points)
 
 
 class TestPointsInPolygon:
@@ -393,6 +445,9 @@ def test_intersection_area_matches_raster_oracle(a, b):
     inter = intersection_area(a, b)
     assert abs(inter - intersection_area(b, a)) <= tol
     assert 0.0 <= inter <= min(area_a, area_b) + tol
+    iou = iou_polygon(a, b)
+    assert abs(iou - iou_polygon(b, a)) <= 1e-12
+    assert 0.0 <= iou <= 1.0
 
     # Only cells crossed by an edge of a or b can be counted wrongly, and an
     # edge crosses at most |dx| / cell + |dy| / cell + 2 cells.

@@ -6,18 +6,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gbbkit import Ellipse, Hbb, Obb, PolygonMask, generate_synthetic, mask_bc, mask_to_obb, to_polygon
+from gbbkit import raster
+from gbbkit.convert import obb_corners
 from gbbkit.polygons import convex_hull, min_area_rect, points_in_polygon, signed_area
 from gbbkit.raster import (
     RasterGrid,
     _boundaries,
+    _occupancy_counts,
     default_cell_size,
-    hbb_corners,
     iou_between,
-    iou_convex,
     iou_hbb,
+    iou_polygon,
     iou_raster,
     mask_bc_raster,
-    obb_corners,
     shared_grid,
 )
 
@@ -134,17 +135,17 @@ class TestIouHbb:
             assert iou_hbb(a, b) == iou_hbb(b, a)
 
 
-class TestIouConvex:
+class TestIouPolygon:
     def test_identical(self):
-        assert iou_convex(UNIT_SQUARE, UNIT_SQUARE) == pytest.approx(1.0, abs=1e-12)
+        assert iou_polygon(UNIT_SQUARE, UNIT_SQUARE) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint(self):
-        assert iou_convex(UNIT_SQUARE, UNIT_SQUARE + [3.0, 0.0]) == 0.0
+        assert iou_polygon(UNIT_SQUARE, UNIT_SQUARE + [3.0, 0.0]) == 0.0
 
     def test_square_vs_rotated_square(self):
         # Intersection is the regular octagon of area 2*sqrt(2)-2, so
         # IoU = (2*sqrt(2)-2) / (4-2*sqrt(2)) = sqrt(2)/2.
-        got = iou_convex(UNIT_SQUARE, rotated_square(math.pi / 4))
+        got = iou_polygon(UNIT_SQUARE, rotated_square(math.pi / 4))
         assert got == pytest.approx(math.sqrt(2) / 2, rel=1e-12)
         # Cross-check with the independent rasterized route at a fine cell.
         approx = iou_raster(
@@ -152,22 +153,22 @@ class TestIouConvex:
         )
         assert abs(approx - got) < 0.005
 
-    def test_rejects_nonconvex(self):
+    def test_nonconvex_l_shape_is_exact(self):
+        # The L of area 3 holds the unit square: intersection 1, union 3.
         ell = np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], dtype=float)
-        with pytest.raises(ValueError):
-            iou_convex(ell, UNIT_SQUARE)
+        assert iou_polygon(ell, UNIT_SQUARE) == pytest.approx(1 / 3, rel=1e-12)
 
     def test_rejects_degenerate(self):
         line = np.array([[0, 0], [1, 1], [2, 2]], dtype=float)
         with pytest.raises(ValueError):
-            iou_convex(line, UNIT_SQUARE)
+            iou_polygon(line, UNIT_SQUARE)
 
     def test_symmetry_within_roundoff(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             a = rotated_square(rng.uniform(0, math.pi)) * rng.uniform(0.5, 2)
             b = rotated_square(rng.uniform(0, math.pi)) + rng.uniform(-0.5, 0.5, 2)
-            assert iou_convex(a, b) == pytest.approx(iou_convex(b, a), abs=1e-12)
+            assert iou_polygon(a, b) == pytest.approx(iou_polygon(b, a), abs=1e-12)
 
 
 # Records of generate_synthetic("default", 1000, 7) whose minimum-area box
@@ -209,8 +210,8 @@ def _edge_sharing_convex_pairs(draw):
         cell = st.integers(-3, 3)
         x0, y0, x1, y1 = draw(cell), draw(cell), draw(cell), draw(cell)
         w0, h0, w1, h1 = (draw(st.integers(1, 4)) for _ in range(4))
-        return hbb_corners(Hbb(x0 + w0 / 2, y0 + h0 / 2, w0, h0)), hbb_corners(
-            Hbb(x1 + w1 / 2, y1 + h1 / 2, w1, h1)
+        return _box_corners(x0 + w0 / 2, y0 + h0 / 2, w0, h0, 0.0), _box_corners(
+            x1 + w1 / 2, y1 + h1 / 2, w1, h1, 0.0
         )
     if kind == "hull":
         pts = np.array(draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=12)))
@@ -235,7 +236,7 @@ def _edge_sharing_convex_pairs(draw):
 @given(_edge_sharing_convex_pairs())
 def test_convex_iou_and_mask_bc_finite_on_shared_edges(pair):
     a, b = pair
-    iou = iou_convex(a, b)
+    iou = iou_polygon(a, b)
     bc = mask_bc(PolygonMask(a), PolygonMask(b))
     assert math.isfinite(iou) and 0.0 <= iou <= 1.0
     assert math.isfinite(bc) and 0.0 <= bc <= 1.0
@@ -295,6 +296,19 @@ class TestIouRaster:
             iou_raster(Hbb(0, 0, 1, 1), Hbb(0, 0, 1, 1), 1e-6)
 
 
+def _star(cx, cy, outer, phase, points=5, ratio=0.4):
+    k = np.arange(2 * points)
+    phi = phase + k * math.pi / points
+    r = np.where(k % 2 == 0, outer, outer * ratio)
+    return PolygonMask(np.column_stack([cx + r * np.cos(phi), cy + r * np.sin(phi)]))
+
+
+_STAR = _star(0.0, 0.0, 1.0, 0.3)
+_STAR_2 = _star(0.4, -0.2, 1.2, 1.1, points=7, ratio=0.55)
+_OBB = Obb(0.2, -0.1, 1.5, 0.8, 0.3)
+_L_SHAPE = PolygonMask(np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], dtype=float))
+
+
 class TestIouBetween:
     def test_dispatches_hbb_to_analytic(self):
         a, b = Hbb(0, 0, 1, 1), Hbb(0.5, 0, 1, 1)
@@ -314,9 +328,32 @@ class TestIouBetween:
 
     def test_matches_hbb_corners_route(self):
         a, b = Hbb(0, 0, 2, 1), Hbb(0.4, 0.2, 1, 1)
-        assert iou_convex(hbb_corners(a), hbb_corners(b)) == pytest.approx(
+        assert iou_polygon(to_polygon(a), to_polygon(b)) == pytest.approx(
             iou_hbb(a, b), rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(_STAR, _OBB), (_OBB, _STAR), (_STAR, _STAR_2), (_L_SHAPE, Hbb(1.2, 1.2, 1.0, 1.4))],
+        ids=["star-obb", "obb-star", "star-star", "l-hbb"],
+    )
+    def test_polygon_pairs_take_the_exact_route(self, monkeypatch, a, b):
+        def no_raster(*args, **kwargs):
+            raise AssertionError("a box or polygon pair reached the raster")
+
+        monkeypatch.setattr(raster, "iou_raster", no_raster)
+        iou = iou_between(a, b)
+        # Against a 3000-cell raster: only cells crossed by an edge of a or b
+        # can be counted wrongly, at most |dx| / cell + |dy| / cell + 2 per edge.
+        va, vb = to_polygon(a).vertices, to_polygon(b).vertices
+        area_a, area_b = signed_area(va), signed_area(vb)
+        cell = default_cell_size(a, b, 3000)
+        _, _, cells = _occupancy_counts(a, b, cell)
+        edges = np.concatenate([np.roll(va, -1, axis=0) - va, np.roll(vb, -1, axis=0) - vb])
+        bound = cell * float(np.abs(edges).sum()) + 2 * cell**2 * len(edges)
+        inter = iou * (area_a + area_b) / (1.0 + iou)
+        assert inter > 0.1
+        assert abs(inter - cells * cell**2) <= bound
 
 
 class TestMaskBcRaster:
@@ -393,14 +430,8 @@ def _dense_bits(shape, grid):
         u = x * c + y * s
         w = -x * s + y * c
         return (u / shape.semi_major) ** 2 + (w / shape.semi_minor) ** 2 <= 1.0
-    if isinstance(shape, Hbb):
-        verts = hbb_corners(shape)
-    elif isinstance(shape, Obb):
-        verts = obb_corners(shape)
-    else:
-        verts = shape.vertices
     pts = np.column_stack([xs.ravel(), ys.ravel()])
-    return points_in_polygon(pts, verts).reshape(xs.shape)
+    return points_in_polygon(pts, to_polygon(shape).vertices).reshape(xs.shape)
 
 
 # Quarter-cell lattice: every box edge and every tangent point of an
