@@ -44,8 +44,8 @@ from .metrics import (
 from .raster import (
     RasterGrid,
     iou_between,
+    iou_convex,
     iou_hbb,
-    iou_polygon,
     iou_raster,
     mask_bc_raster,
 )
@@ -90,7 +90,7 @@ __all__ = [
     # gradients
     "HbbGradient", "grad_l2_hbb", "grad_l1_hbb", "grad_general",
     # raster
-    "RasterGrid", "iou_raster", "iou_hbb", "iou_polygon",
+    "RasterGrid", "iou_raster", "iou_hbb", "iou_convex",
     "iou_between", "mask_bc_raster",
     # batch kernels
     "iou_ellipse_pairs",

@@ -12,6 +12,9 @@ import numpy as np
 
 _CONVEX_REL_TOL = 1e-12
 
+# Edge pairs (or slab and edge pairs) is_simple holds at once.
+_SIMPLE_CHUNK = 1 << 16
+
 
 def signed_area(vertices: np.ndarray) -> float:
     """Shoelace signed area; positive for counter-clockwise orientation."""
@@ -139,20 +142,84 @@ def is_convex(vertices: np.ndarray) -> bool:
     return bool(np.all(cross >= -_CONVEX_REL_TOL * scale))
 
 
-def is_simple(vertices: np.ndarray) -> bool:
-    """True when no two edges of the closed boundary properly cross.
+def _sides(points: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Sign of each point against each directed line start -> end: (points, lines)."""
+    d = end - start
+    rel = points[:, None, :] - start[None, :, :]
+    return np.sign(d[:, 0] * rel[..., 1] - d[:, 1] * rel[..., 0])
 
-    Two edges cross properly when each one's ends lie strictly on opposite
-    sides of the other's line.  Edges that only touch and repeated vertices
-    pass.  O(n^2) time and memory.
+
+def _off_edge(vertex: np.ndarray, edge: np.ndarray, n: int) -> np.ndarray:
+    """(vertices, edges) mask: the vertex is neither end of the edge."""
+    vertex = vertex[:, None]
+    return (edge != vertex) & ((edge + 1) % n != vertex)
+
+
+def is_simple(vertices: np.ndarray) -> bool:
+    """True when the closed boundary does not cross itself; touching is allowed.
+
+    Every fill rule (signed area, even-odd) then gives the same area.
+    Repeated vertices, a vertex resting on another edge and an edge laid back
+    along another (a slit to a hole) pass.  Two tests decide it:
+
+    * no two edges cross properly, each one's ends lying strictly on
+      opposite sides of the other's line;
+    * the winding number takes at most two neighbouring values, 0 and +1 or
+      -1.  Without proper crossings the edges spanning an open slab between
+      consecutive vertex abscissas keep their order, so the windings at each
+      slab's mid-abscissa cover every region.  Edges closer than a rounding
+      tolerance there count as one, as collinear ones must.  This test runs
+      only when some vertex lies on the line of an edge it does not end;
+      otherwise any two edges that meet cross properly.
+
+    O(n^2) time; pairs are taken in chunks of _SIMPLE_CHUNK, so memory is O(n)
+    per chunk.
     """
     v = np.asarray(vertices, dtype=float)
-    e = np.roll(v, -1, axis=0) - v
-    # side[i, j]: sign of vertex i relative to the line of edge j.
-    rel = v[:, None, :] - v[None, :, :]
-    side = np.sign(e[:, 0] * rel[..., 1] - e[:, 1] * rel[..., 0])
-    straddles = side * np.roll(side, -1, axis=0) < 0
-    return not np.any(straddles & straddles.T)
+    n = len(v)
+    v_next = np.roll(v, -1, axis=0)
+    step = max(1, _SIMPLE_CHUNK // n)
+    touching = False
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        # Edges r0..r1-1 against edges r0.., each one's ends against the other's line.
+        mine, theirs = np.arange(r0, r1 + 1) % n, np.arange(r0, n + 1) % n
+        ends = _sides(v[mine], v[r0:], v_next[r0:])
+        lines = _sides(v[theirs], v[r0:r1], v_next[r0:r1])
+        if np.any((ends[:-1] * ends[1:] < 0) & (lines[:-1] * lines[1:] < 0).T):
+            return False
+        touching = touching or bool(
+            np.any((ends == 0) & _off_edge(mine, np.arange(r0, n), n))
+            or np.any((lines == 0) & _off_edge(theirs, np.arange(r0, r1), n))
+        )
+    if not touching:
+        return True
+
+    x0, y0, x1, y1 = v[:, 0], v[:, 1], v_next[:, 0], v_next[:, 1]
+    xs = np.unique(x0)
+    # Edge e spans the slabs first[e] .. last[e] - 1 (a vertical edge spans none).
+    first = np.searchsorted(xs, np.minimum(x0, x1))
+    last = np.searchsorted(xs, np.maximum(x0, x1))
+    tol = 1e-9 * float(np.max(np.abs(v)))
+    low = high = 0
+    for s0 in range(0, len(xs) - 1, step):
+        lo = np.maximum(first, s0)
+        count = np.maximum(np.minimum(last, s0 + step) - lo, 0)
+        edge = np.repeat(np.arange(n), count)
+        slab = np.arange(len(edge)) + np.repeat(lo - np.cumsum(count) + count, count)
+        mid = 0.5 * (xs[slab] + xs[slab + 1])
+        y = y0[edge] + (mid - x0[edge]) * ((y1 - y0)[edge] / (x1 - x0)[edge])
+        order = np.lexsort((y, slab))
+        slab, y = slab[order], y[order]
+        # Crossing a rightward edge upwards enters a counter-clockwise interior.
+        # Each slab's crossings sum to zero, so one running sum serves them all.
+        winding = np.cumsum(np.sign(x1 - x0)[edge[order]])
+        group_end = np.append((slab[1:] != slab[:-1]) | (np.diff(y) > tol), True)
+        low = min(low, int(winding[group_end].min()))
+        high = max(high, int(winding[group_end].max()))
+        if high - low > 1:
+            return False
+    return True
 
 
 def clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:

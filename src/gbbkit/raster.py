@@ -59,8 +59,12 @@ class RasterGrid:
 
 
 def _region(shape) -> Ellipse | np.ndarray:
-    """An ellipse as it is; any other shape as its vertex array."""
-    return shape if isinstance(shape, (Ellipse, np.ndarray)) else _vertices(shape)
+    """An ellipse as it is; a box or polygon as its vertex array."""
+    if isinstance(shape, (Ellipse, np.ndarray)):
+        return shape
+    if isinstance(shape, (Hbb, Obb, PolygonMask)):
+        return _vertices(shape)
+    raise TypeError(f"unsupported shape type {type(shape).__name__}")
 
 
 def shape_bounds(shape: Shape | np.ndarray) -> tuple[float, float, float, float]:
@@ -75,8 +79,7 @@ def shape_bounds(shape: Shape | np.ndarray) -> tuple[float, float, float, float]
         ex = math.hypot(region.semi_major * c, region.semi_minor * s)
         ey = math.hypot(region.semi_major * s, region.semi_minor * c)
         return region.x0 - ex, region.y0 - ey, region.x0 + ex, region.y0 + ey
-    xmin, ymin = region.min(axis=0)
-    xmax, ymax = region.max(axis=0)
+    (xmin, ymin), (xmax, ymax) = region.min(axis=0), region.max(axis=0)
     return float(xmin), float(ymin), float(xmax), float(ymax)
 
 
@@ -195,8 +198,7 @@ def _occupancy_counts(a: Shape, b: Shape, cell_size: float | None) -> tuple[int,
     xs, ys = grid.x_centers(), grid.y_centers()
     keys_a = _boundaries(a, xs, ys)
     keys_b = _boundaries(b, xs, ys)
-    count_a = _run_cells(keys_a)
-    count_b = _run_cells(keys_b)
+    count_a, count_b = _run_cells(keys_a), _run_cells(keys_b)
     xor = _run_cells(np.sort(np.concatenate((keys_a, keys_b))))
     inter = (count_a + count_b - xor) // 2
     if count_a == 0 or count_b == 0:
@@ -228,12 +230,11 @@ def iou_hbb(a: Hbb, b: Hbb) -> float:
     return inter / (a.w * a.h + b.w * b.h - inter)
 
 
-def iou_polygon(a: np.ndarray | PolygonMask, b: np.ndarray | PolygonMask) -> float:
-    """Exact IoU of two simple counter-clockwise polygons (clip + shoelace)."""
+def iou_convex(a: np.ndarray | PolygonMask, b: np.ndarray | PolygonMask) -> float:
+    """Exact IoU of two simple counter-clockwise polygons, convex or not (clip + shoelace)."""
     pa = a.vertices if isinstance(a, PolygonMask) else np.asarray(a, dtype=float)
     pb = b.vertices if isinstance(b, PolygonMask) else np.asarray(b, dtype=float)
-    area_a = signed_area(pa)
-    area_b = signed_area(pb)
+    area_a, area_b = signed_area(pa), signed_area(pb)
     if len(pa) < 3 or len(pb) < 3 or area_a <= 0 or area_b <= 0:
         raise ValueError("polygons must be counter-clockwise with positive area")
     # Rounding can put a flush pair's clipped area a few ulp above the smaller one.
@@ -246,13 +247,13 @@ def iou_between(a: Shape, b: Shape, cell_size: float | None = None) -> float:
 
     Two hbbs take iou_hbb and any pair with an ellipse takes iou_raster
     (cell_size applies to it alone); every other box or polygon pair takes
-    the exact iou_polygon.
+    the exact iou_convex.
     """
     if isinstance(a, Hbb) and isinstance(b, Hbb):
         return iou_hbb(a, b)
     if isinstance(a, Ellipse) or isinstance(b, Ellipse):
         return iou_raster(a, b, cell_size)
-    return iou_polygon(_vertices(a), _vertices(b))
+    return iou_convex(_region(a), _region(b))
 
 
 def mask_bc_raster(m1: Shape, m2: Shape, cell_size: float | None = None) -> float:
@@ -275,7 +276,7 @@ __all__ = [
     "default_cell_size",
     "iou_raster",
     "iou_hbb",
-    "iou_polygon",
+    "iou_convex",
     "iou_between",
     "mask_bc_raster",
 ]

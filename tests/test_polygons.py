@@ -1,4 +1,7 @@
+import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from gbbkit.polygons import (
     polygon_moments,
     signed_area,
 )
-from gbbkit.raster import _occupancy_counts, iou_polygon
+from gbbkit.raster import _occupancy_counts, iou_convex
 from gbbkit.types import PolygonMask
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -185,28 +188,61 @@ class TestClipping:
         assert intersection_area(ell, upper) == pytest.approx(1.0, abs=1e-9)
 
 
-def _reference_is_simple(v):
-    """Pairwise loop: some edge pair has each edge's ends strictly apart
-    across the other edge's line."""
-    pts = [tuple(p) for p in np.asarray(v, dtype=float).tolist()]
-    n = len(pts)
+def _reference_is_simple(points):
+    """No two edges meet inside both, and the winding numbers off the
+    boundary span at most 0 and one of +1 or -1, in exact rational arithmetic.
 
-    def side(k, j):
-        (x, y), (x0, y0), (x1, y1) = pts[k], pts[j], pts[(j + 1) % n]
-        return np.sign((x1 - x0) * (y - y0) - (y1 - y0) * (x - x0))
-
-    def straddles(i, j):
-        return side(i, j) * side((i + 1) % n, j) < 0
-
-    return not any(straddles(i, j) and straddles(j, i) for i in range(n) for j in range(n))
+    Slabs are cut at every vertex and at every point where two edges meet,
+    so no two edges cross inside a slab and each region between consecutive
+    edges meets the slab's mid-abscissa.
+    """
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    edges = [(p, q) for p, q in zip(pts, pts[1:] + pts[:1]) if p != q]
+    cuts = {x for x, _ in pts}
+    for (p, q), (r, s) in itertools.combinations(edges, 2):
+        den = (q[0] - p[0]) * (s[1] - r[1]) - (q[1] - p[1]) * (s[0] - r[0])
+        if den:
+            t = ((r[0] - p[0]) * (s[1] - r[1]) - (r[1] - p[1]) * (s[0] - r[0])) / den
+            u = ((r[0] - p[0]) * (q[1] - p[1]) - (r[1] - p[1]) * (q[0] - p[0])) / den
+            if 0 < t < 1 and 0 < u < 1:
+                return False
+            if 0 <= t <= 1 and 0 <= u <= 1:
+                cuts.add(p[0] + t * (q[0] - p[0]))
+    windings = {0}
+    xs = sorted(cuts)
+    for a, b in zip(xs, xs[1:]):
+        m = (a + b) / 2
+        hits = sorted(
+            (p[1] + (m - p[0]) * (q[1] - p[1]) / (q[0] - p[0]), 1 if q[0] > p[0] else -1)
+            for p, q in edges
+            if min(p[0], q[0]) < m < max(p[0], q[0])
+        )
+        w = 0
+        for k, (y, d) in enumerate(hits):
+            w += d
+            if k + 1 == len(hits) or hits[k + 1][0] != y:
+                windings.add(w)
+    return max(windings) - min(windings) <= 1
 
 
 class TestIsSimple:
-    def test_bow_tie_is_rejected(self):
-        # Unequal lobes give a positive signed area of 2.
-        bow_tie = np.array([[0.0, 1.0], [4.0, 0.0], [4.0, 2.0], [0.0, 0.0]])
-        assert signed_area(bow_tie) == 2.0
-        assert not is_simple(bow_tie)
+    @pytest.mark.parametrize(
+        "points",
+        [
+            # Unequal lobes give a positive signed area of 2.
+            [(0, 1), (4, 0), (4, 2), (0, 0)],
+            # The passes cross at (2, 1), a vertex of one of them; lobes +8 and -2.
+            [(0, 2), (6, -1), (6, 3), (2, 1), (0, 0)],
+            # The passes cross at (1, 1), a vertex of both.
+            [(0, 0), (1, 1), (2, 2), (2, 0), (1, 1), (0, 2)],
+            # The second lap runs along the first's bottom edge: winding 2 above it.
+            [(0, 0), (2, 0), (2, 1), (0, 1), (0, 0), (2, 0), (2, 2), (0, 2)],
+        ],
+        ids=["bow-tie", "crossing-at-a-vertex", "crossing-at-a-shared-vertex", "second-lap"],
+    )
+    def test_crossing_boundaries_are_rejected(self, points):
+        assert signed_area(np.array(points, dtype=float)) >= 0
+        assert not is_simple(np.array(points, dtype=float))
 
     def test_pentagram_is_rejected_though_every_turn_is_left(self):
         phi = math.pi / 2 + np.arange(5) * 4 * math.pi / 5
@@ -214,24 +250,44 @@ class TestIsSimple:
         assert is_convex(pentagram) and signed_area(pentagram) > 0
         assert not is_simple(pentagram)
 
-    def test_repeated_vertex_is_accepted(self):
-        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        assert is_simple(square)
-
-    def test_touching_edges_are_accepted(self):
-        # Two triangles meeting where a vertex rests on the bottom edge.
-        pinched = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [2.0, 0.0], [0.0, 2.0]])
-        assert is_simple(pinched)
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0, 0), (1, 0), (1, 0), (1, 1), (0, 1)],
+            # Two triangles meeting where a vertex rests on the bottom edge.
+            [(0, 0), (4, 0), (4, 2), (2, 0), (0, 2)],
+            # Two lobes meeting at a vertex both pass through.
+            [(0, 2), (0, 0), (1, 1), (2, 0), (2, 2), (1, 1)],
+            # A square hole reached by a slit, its two edges laid back to back.
+            [(0, 0), (4, 0), (4, 4), (0, 4), (0, 2), (1, 2), (1, 3), (3, 3), (3, 1), (1, 1),
+             (1, 2), (0, 2)],
+        ],
+        ids=["repeated-vertex", "vertex-on-edge", "shared-vertex", "slit-to-a-hole"],
+    )
+    def test_touching_boundaries_are_accepted(self, points):
+        assert is_simple(np.array(points, dtype=float))
 
     def test_synthetic_polygons_are_simple(self):
         for record in generate_synthetic("default", 30, 3):
             assert is_simple(record.polygon.vertices)
 
+    def test_memory_is_linear_in_vertices(self):
+        phi = np.arange(2000) * 2 * math.pi / 2000
+        ring = np.column_stack([np.cos(phi), np.sin(phi)]) * 500.0 + [640.0, 480.0]
+        tracemalloc.start()
+        try:
+            assert is_simple(ring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A full 2000 x 2000 pair table would need 32 MB for one float array.
+        assert peak < 8e6
+
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(st.integers(3, 9).flatmap(
         lambda n: st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=n, max_size=n)
     ))
-    def test_matches_pairwise_reference(self, points):
+    def test_matches_exact_reference(self, points):
         # Small integer lattices: many touching, collinear and repeated cases.
         assert is_simple(np.array(points, dtype=float)) == _reference_is_simple(points)
 
@@ -445,8 +501,8 @@ def test_intersection_area_matches_raster_oracle(a, b):
     inter = intersection_area(a, b)
     assert abs(inter - intersection_area(b, a)) <= tol
     assert 0.0 <= inter <= min(area_a, area_b) + tol
-    iou = iou_polygon(a, b)
-    assert abs(iou - iou_polygon(b, a)) <= 1e-12
+    iou = iou_convex(a, b)
+    assert abs(iou - iou_convex(b, a)) <= 1e-12
     assert 0.0 <= iou <= 1.0
 
     # Only cells crossed by an edge of a or b can be counted wrongly, and an

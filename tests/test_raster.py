@@ -5,7 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gbbkit import Ellipse, Hbb, Obb, PolygonMask, generate_synthetic, mask_bc, mask_to_obb, to_polygon
+from gbbkit import (
+    Ellipse, GaussBox, Hbb, Obb, PolygonMask, generate_synthetic, mask_bc, mask_to_obb, to_polygon,
+)
 from gbbkit import raster
 from gbbkit.convert import obb_corners
 from gbbkit.polygons import convex_hull, min_area_rect, points_in_polygon, signed_area
@@ -15,8 +17,8 @@ from gbbkit.raster import (
     _occupancy_counts,
     default_cell_size,
     iou_between,
+    iou_convex,
     iou_hbb,
-    iou_polygon,
     iou_raster,
     mask_bc_raster,
     shared_grid,
@@ -135,17 +137,17 @@ class TestIouHbb:
             assert iou_hbb(a, b) == iou_hbb(b, a)
 
 
-class TestIouPolygon:
+class TestIouConvex:
     def test_identical(self):
-        assert iou_polygon(UNIT_SQUARE, UNIT_SQUARE) == pytest.approx(1.0, abs=1e-12)
+        assert iou_convex(UNIT_SQUARE, UNIT_SQUARE) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint(self):
-        assert iou_polygon(UNIT_SQUARE, UNIT_SQUARE + [3.0, 0.0]) == 0.0
+        assert iou_convex(UNIT_SQUARE, UNIT_SQUARE + [3.0, 0.0]) == 0.0
 
     def test_square_vs_rotated_square(self):
         # Intersection is the regular octagon of area 2*sqrt(2)-2, so
         # IoU = (2*sqrt(2)-2) / (4-2*sqrt(2)) = sqrt(2)/2.
-        got = iou_polygon(UNIT_SQUARE, rotated_square(math.pi / 4))
+        got = iou_convex(UNIT_SQUARE, rotated_square(math.pi / 4))
         assert got == pytest.approx(math.sqrt(2) / 2, rel=1e-12)
         # Cross-check with the independent rasterized route at a fine cell.
         approx = iou_raster(
@@ -156,19 +158,19 @@ class TestIouPolygon:
     def test_nonconvex_l_shape_is_exact(self):
         # The L of area 3 holds the unit square: intersection 1, union 3.
         ell = np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], dtype=float)
-        assert iou_polygon(ell, UNIT_SQUARE) == pytest.approx(1 / 3, rel=1e-12)
+        assert iou_convex(ell, UNIT_SQUARE) == pytest.approx(1 / 3, rel=1e-12)
 
     def test_rejects_degenerate(self):
         line = np.array([[0, 0], [1, 1], [2, 2]], dtype=float)
         with pytest.raises(ValueError):
-            iou_polygon(line, UNIT_SQUARE)
+            iou_convex(line, UNIT_SQUARE)
 
     def test_symmetry_within_roundoff(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             a = rotated_square(rng.uniform(0, math.pi)) * rng.uniform(0.5, 2)
             b = rotated_square(rng.uniform(0, math.pi)) + rng.uniform(-0.5, 0.5, 2)
-            assert iou_polygon(a, b) == pytest.approx(iou_polygon(b, a), abs=1e-12)
+            assert iou_convex(a, b) == pytest.approx(iou_convex(b, a), abs=1e-12)
 
 
 # Records of generate_synthetic("default", 1000, 7) whose minimum-area box
@@ -236,7 +238,7 @@ def _edge_sharing_convex_pairs(draw):
 @given(_edge_sharing_convex_pairs())
 def test_convex_iou_and_mask_bc_finite_on_shared_edges(pair):
     a, b = pair
-    iou = iou_polygon(a, b)
+    iou = iou_convex(a, b)
     bc = mask_bc(PolygonMask(a), PolygonMask(b))
     assert math.isfinite(iou) and 0.0 <= iou <= 1.0
     assert math.isfinite(bc) and 0.0 <= bc <= 1.0
@@ -326,9 +328,14 @@ class TestIouBetween:
         sq = Hbb(0, 0, 2, 2)
         assert abs(iou_between(e, sq) - math.pi / 4) < 0.005
 
+    def test_fuzzy_shape_is_named_in_the_error(self):
+        for call in (iou_between, iou_raster):
+            with pytest.raises(TypeError, match="unsupported shape type GaussBox"):
+                call(GaussBox(0, 0, 1, 1, 0), Hbb(0, 0, 1, 1))
+
     def test_matches_hbb_corners_route(self):
         a, b = Hbb(0, 0, 2, 1), Hbb(0.4, 0.2, 1, 1)
-        assert iou_polygon(to_polygon(a), to_polygon(b)) == pytest.approx(
+        assert iou_convex(to_polygon(a), to_polygon(b)) == pytest.approx(
             iou_hbb(a, b), rel=1e-12
         )
 
