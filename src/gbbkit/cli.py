@@ -37,8 +37,8 @@ from .convert import (
     to_polygon,
 )
 from .metrics import similarity
-from .polygons import is_simple
-from .raster import default_cell_size, iou_between, iou_raster
+from .polygons import ellipse_intersection_area, is_simple, signed_area
+from .raster import iou_between, iou_raster
 from .regress import FitTrajectory, LossSchedule, OptimizerConfig, fit_gbb
 from .types import Ellipse, GaussBox, Hbb, Obb, PolygonMask, require_valid_gbb
 
@@ -46,9 +46,8 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-# Cells along the larger extent for fidelity-study rasterization; coarser
-# than the library default because the study medians move in the second
-# decimal at most.
+# Cells along the larger extent at which perfbench's fidelity latency items
+# time iou_raster.  `fidelity` rasterizes only at an explicit --cell-size.
 FIDELITY_CELLS = 256
 
 # Fidelity-study representations, in CSV column order.
@@ -235,6 +234,29 @@ def cmd_scatter(args) -> int:
     return EXIT_OK
 
 
+def _fidelity_ious(poly: PolygonMask, cell_size: float | None) -> tuple[float, float, float]:
+    """IoU of the polygon with its hbb, obb and moment-matched ellipse.
+
+    Exact unless a cell size is given, which rasterizes all three at it.
+    Both boxes contain the polygon by construction (tight bounds, and the
+    minimum-area rectangle of its hull), so each box's exact IoU is the
+    ratio of the smaller area to the larger.  The polygon's area is taken
+    relative to its least corner, so an axis-aligned rectangle's equals its
+    hbb's w * h exactly; in absolute coordinates the shoelace rounds it.
+    """
+    hbb, obb = mask_to_hbb(poly), mask_to_obb(poly)
+    ellipse = gbb_to_ellipse(mask_to_gbb(poly))
+    if cell_size is not None:
+        return tuple(iou_raster(rep, poly, cell_size) for rep in (hbb, obb, ellipse))
+    v = poly.vertices
+    area = signed_area(v - v.min(axis=0))
+    a, b = ellipse.semi_major, ellipse.semi_minor
+    inter = ellipse_intersection_area(v, ellipse.x0, ellipse.y0, a, b, ellipse.theta)
+    ellipse_area = math.pi * a * b
+    box_ious = (min(area, box.w * box.h) / max(area, box.w * box.h) for box in (hbb, obb))
+    return (*box_ious, inter / (area + ellipse_area - inter))
+
+
 def cmd_fidelity(args) -> int:
     if args.annotations is not None:
         try:
@@ -257,16 +279,9 @@ def cmd_fidelity(args) -> int:
 
     per_category: dict[str, dict[str, list[float]]] = {}
     for rec in records:
-        poly = rec.polygon
-        reps = {
-            "hbb": mask_to_hbb(poly),
-            "obb": mask_to_obb(poly),
-            "ellipse": gbb_to_ellipse(mask_to_gbb(poly)),
-        }
         acc = per_category.setdefault(rec.category, {name: [] for name in _FIDELITY_REPS})
-        for name, rep in reps.items():
-            cell = args.cell_size or default_cell_size(rep, poly, FIDELITY_CELLS)
-            acc[name].append(iou_raster(rep, poly, cell))
+        for name, iou in zip(_FIDELITY_REPS, _fidelity_ious(rec.polygon, args.cell_size)):
+            acc[name].append(iou)
 
     def median_row(category: str, acc: dict[str, list[float]]) -> list[str]:
         medians = [_fmt(float(np.median(acc[name]))) for name in _FIDELITY_REPS]
@@ -386,7 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, default=1000, help="synthetic shapes per category")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--cell-size", type=float, help="fixed raster cell size")
+    p.add_argument(
+        "--cell-size",
+        type=float,
+        help="rasterize at this cell size instead of the exact overlap",
+    )
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_fidelity)
 

@@ -16,11 +16,21 @@ _CONVEX_REL_TOL = 1e-12
 _SIMPLE_CHUNK = 1 << 16
 
 
+def _next(a: np.ndarray) -> np.ndarray:
+    """Each row's successor around the closed boundary: a cyclic shift by one.
+
+    Slices rather than np.roll, which costs several times a ufunc call on the
+    short arrays here.
+    """
+    return np.concatenate((a[1:], a[:1]))
+
+
 def signed_area(vertices: np.ndarray) -> float:
     """Shoelace signed area; positive for counter-clockwise orientation."""
     v = np.asarray(vertices, dtype=float)
     x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    v1 = _next(v)
+    return 0.5 * float(np.sum(x * v1[:, 1] - v1[:, 0] * y))
 
 
 def polygon_moments(vertices: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -35,8 +45,8 @@ def polygon_moments(vertices: np.ndarray) -> tuple[float, np.ndarray, np.ndarray
         over the polygon interior.
     """
     v = np.asarray(vertices, dtype=float)
-    x0, y0 = v[:, 0], v[:, 1]
-    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    v1 = _next(v)
+    x0, y0, x1, y1 = v[:, 0], v[:, 1], v1[:, 0], v1[:, 1]
     cross = x0 * y1 - x1 * y0
 
     area = 0.5 * float(np.sum(cross))
@@ -64,10 +74,14 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     least y), and collinear boundary points are dropped.  Fewer than three
     distinct points come back as the distinct rows in lexicographic order.
     """
-    # np.unique returns its rows in lexicographic order.  Adding 0.0 turns
-    # -0.0 into 0.0 first, so which of two equal points it keeps cannot show
-    # in the hull's bits.
-    pts = np.unique(np.asarray(points, dtype=float) + 0.0, axis=0)
+    # Sort the rows lexicographically and drop each row equal to the one
+    # before it.  Adding 0.0 turns -0.0 into 0.0 first, so which of two equal
+    # points is kept cannot show in the hull's bits.
+    pts = np.asarray(points, dtype=float) + 0.0
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+    pts = pts[keep]
     if len(pts) < 3:
         return pts
 
@@ -136,8 +150,9 @@ def is_convex(vertices: np.ndarray) -> bool:
     scale.
     """
     v = np.asarray(vertices, dtype=float)
-    d = np.roll(v, -1, axis=0) - v
-    cross = d[:, 0] * np.roll(d[:, 1], -1) - d[:, 1] * np.roll(d[:, 0], -1)
+    d = _next(v) - v
+    d1 = _next(d)
+    cross = d[:, 0] * d1[:, 1] - d[:, 1] * d1[:, 0]
     scale = float(np.max(np.abs(d))) ** 2 + 1.0
     return bool(np.all(cross >= -_CONVEX_REL_TOL * scale))
 
@@ -177,7 +192,7 @@ def is_simple(vertices: np.ndarray) -> bool:
     """
     v = np.asarray(vertices, dtype=float)
     n = len(v)
-    v_next = np.roll(v, -1, axis=0)
+    v_next = _next(v)
     step = max(1, _SIMPLE_CHUNK // n)
     touching = False
     for r0 in range(0, n, step):
@@ -293,6 +308,56 @@ def intersection_area(poly_a: np.ndarray, poly_b: np.ndarray) -> float:
     return max(total, 0.0)
 
 
+def ellipse_intersection_area(
+    vertices: np.ndarray,
+    x0: float,
+    y0: float,
+    semi_major: float,
+    semi_minor: float,
+    theta: float,
+) -> float:
+    """Exact area of a simple CCW polygon inside an ellipse, vectorized over edges.
+
+    The ellipse has center (x0, y0), semi-axes semi_major along theta and
+    semi_minor across it.  Mapping it to the unit disk scales every area by
+    1 / (semi_major * semi_minor) and leaves the polygon a polygon, whose
+    indicator is the signed sum of its fan triangles (0, p, q) over the edges
+    p -> q.  Each triangle's signed overlap with the disk follows from the
+    edge alone: the part of p + t (q - p) inside the disk is the chord
+    between the roots of |p + t (q - p)|^2 = 1 clipped to [0, 1], which adds
+    half its cross product, and the parts outside add circular sectors of
+    half their angle.  A zero-length edge, and one that misses or only
+    touches the disk, is a single sector.  The sum is clamped to [0,
+    min(|P|, pi)] in the disk frame, where rounding could leave it a few ulp
+    outside.
+    """
+    v = np.asarray(vertices, dtype=float)
+    c, s = math.cos(theta), math.sin(theta)
+    dx, dy = v[:, 0] - x0, v[:, 1] - y0
+    u = (dx * c + dy * s) / semi_major
+    w = (dy * c - dx * s) / semi_minor
+    u1, w1 = _next(u), _next(w)
+    du, dw = u1 - u, w1 - w
+    qa = du * du + dw * dw
+    qb = u * du + w * dw
+    disc = qb * qb - qa * (u * u + w * w - 1.0)
+    chord = disc > 0.0  # a zero-length edge has qa = qb = disc = 0
+    root = np.sqrt(np.where(chord, disc, 0.0))
+    qa = np.where(chord, qa, 1.0)
+    t_in = np.where(chord, np.clip((-qb - root) / qa, 0.0, 1.0), 0.0)
+    t_out = np.where(chord, np.clip((-qb + root) / qa, 0.0, 1.0), 0.0)
+    ui, wi = u + t_in * du, w + t_in * dw
+    uo, wo = u + t_out * du, w + t_out * dw
+    twice = (
+        np.arctan2(u * wi - w * ui, u * ui + w * wi)
+        + (ui * wo - wi * uo)
+        + np.arctan2(uo * w1 - wo * u1, uo * u1 + wo * w1)
+    )
+    inside = 0.5 * float(np.sum(twice))
+    polygon = 0.5 * float(np.sum(u * w1 - u1 * w))
+    return max(0.0, min(inside, polygon, math.pi)) * semi_major * semi_minor
+
+
 def points_in_polygon(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """Even-odd (crossing-number) point-in-polygon test, vectorized over points.
 
@@ -301,8 +366,8 @@ def points_in_polygon(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """
     pts = np.asarray(points, dtype=float)
     v = np.asarray(vertices, dtype=float)
-    x0, y0 = v[:, 0], v[:, 1]
-    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    v1 = _next(v)
+    x0, y0, x1, y1 = v[:, 0], v[:, 1], v1[:, 0], v1[:, 1]
 
     px = pts[:, 0][:, None]
     py = pts[:, 1][:, None]

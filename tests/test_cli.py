@@ -7,8 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from gbbkit import cli
+from gbbkit import cli, raster
+from gbbkit.annotations import SYNTHETIC_PRESETS, generate_synthetic
 from gbbkit.cli import main
+from gbbkit.convert import gbb_to_ellipse, mask_to_gbb, mask_to_hbb, mask_to_obb
+from gbbkit.polygons import signed_area
 
 HBB_JSON = json.dumps({"type": "hbb", "x": 3, "y": 4, "w": 6, "h": 12})
 # Two triangles joined at a crossing, the right one larger, so the signed
@@ -308,6 +311,54 @@ class TestFidelity:
         path.write_text("{oops")
         code, _, _ = run_main(["fidelity", "--annotations", str(path)], capsys)
         assert code == 2
+
+    def test_exact_route_never_rasterizes(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fidelity rasterized without --cell-size")
+
+        monkeypatch.setattr(cli, "iou_raster", refuse)
+        monkeypatch.setattr(raster, "_occupancy_counts", refuse)
+        out = tmp_path / "f.csv"
+        args = ["fidelity", "--synthetic", "default", "--n", "5", "--seed", "2"]
+        assert run_main(args + ["--out", str(out)], capsys)[0] == 0
+        assert [r["count"] for r in read_csv(out)] == ["5", "5", "5", "15"]
+
+    def test_cell_size_gives_raster_medians(self, tmp_path, capsys):
+        cell = 0.05
+        out = tmp_path / "f.csv"
+        args = ["fidelity", "--synthetic", "default", "--n", "6", "--seed", "4"]
+        assert run_main(args + ["--cell-size", str(cell), "--out", str(out)], capsys)[0] == 0
+        medians = {}
+        for rec in generate_synthetic("default", 6, 4):
+            poly = rec.polygon
+            reps = (mask_to_hbb(poly), mask_to_obb(poly), gbb_to_ellipse(mask_to_gbb(poly)))
+            columns = medians.setdefault(rec.category, ([], [], []))
+            for column, rep in zip(columns, reps):
+                column.append(raster.iou_raster(rep, poly, cell))
+        for row in read_csv(out)[:-1]:
+            want = [repr(float(np.median(column))) for column in medians[row["category"]]]
+            got = [row[f"median_iou_{name}"] for name in ("hbb", "obb", "ellipse")]
+            assert got == want
+
+    def test_boxes_contain_their_polygon(self):
+        # The exact route scores each box by |P| / (w h), which holds because
+        # the box contains its polygon.
+        for preset in SYNTHETIC_PRESETS:
+            for rec in generate_synthetic(preset, 10, 6):
+                poly, v = rec.polygon, rec.polygon.vertices
+                area = signed_area(v - v.min(axis=0))
+                tol = 1e-12 * float(np.max(np.abs(v)))
+                boxes = (mask_to_hbb(poly), mask_to_obb(poly))
+                for box, exact in zip(boxes, cli._fidelity_ious(poly, None)):
+                    theta = getattr(box, "theta", 0.0)
+                    rel = v - [box.x0, box.y0]
+                    along = rel @ [math.cos(theta), math.sin(theta)]
+                    across = rel @ [-math.sin(theta), math.cos(theta)]
+                    assert np.all(np.abs(along) <= box.w / 2 + tol)
+                    assert np.all(np.abs(across) <= box.h / 2 + tol)
+                    iou = raster.iou_between(box, poly)
+                    assert abs(area / (box.w * box.h) - iou) <= 1e-12
+                    assert abs(exact - iou) <= 1e-12
 
     def test_seeded_fidelity_is_byte_identical(self, tmp_path, capsys):
         out1, out2 = tmp_path / "f1.csv", tmp_path / "f2.csv"

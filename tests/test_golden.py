@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from gbbkit.annotations import generate_synthetic
-from gbbkit.cli import main
+from gbbkit.cli import _fidelity_ious, main
 from gbbkit.convert import gbb_to_ellipse, mask_to_gbb, mask_to_hbb, mask_to_obb
 from gbbkit.raster import default_cell_size, iou_raster
 
@@ -71,17 +71,30 @@ def _mixed_pairs(seed: int = 11, n: int = 24) -> list[str]:
     return lines
 
 
+# The medians of exact overlaps; `fidelity` rasterizes only at an explicit
+# --cell-size.  The ids leave the digests out, so re-recording one keeps the
+# test's name.
 @pytest.mark.parametrize(
     "preset, digest",
-    [("default", "ae7a34de2c2994d3"), ("ellipses", "d334eed4cf465146")],
+    [("default", "ce66407d5288a9ba"), ("ellipses", "da45e64470bbc30b")],
+    ids=["default", "ellipses"],
 )
 def test_fidelity_synthetic_golden(preset, digest, capsys):
     out = _cli(["fidelity", "--synthetic", preset, "--n", "20", "--seed", "5"], capsys)
     assert _digest(out) == digest
 
 
+def test_fidelity_exact_per_record_iou_golden():
+    # Every exact IoU the fidelity study takes a median of, not just the medians.
+    records = generate_synthetic("default", 12, 3)
+    values = [repr(v) for rec in records for v in _fidelity_ious(rec.polygon, None)]
+    assert _digest("\n".join(values)) == "a231cb182ea9036a"
+
+
 def test_fidelity_per_record_iou_golden():
-    # Every raster IoU the fidelity study takes a median of, not just the medians.
+    # Every record's raster IoU at 256 cells along the larger extent, the
+    # resolution perfbench's fidelity latency items time.  iou_raster still
+    # serves `fidelity --cell-size`.
     values = []
     for rec in generate_synthetic("default", 12, 3):
         poly = rec.polygon

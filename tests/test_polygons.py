@@ -12,6 +12,7 @@ from gbbkit.annotations import SYNTHETIC_PRESETS, generate_synthetic
 from gbbkit.polygons import (
     clip_convex,
     convex_hull,
+    ellipse_intersection_area,
     intersection_area,
     is_convex,
     is_simple,
@@ -21,7 +22,7 @@ from gbbkit.polygons import (
     signed_area,
 )
 from gbbkit.raster import _occupancy_counts, iou_convex
-from gbbkit.types import PolygonMask
+from gbbkit.types import Ellipse, PolygonMask
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 UNIT_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -512,3 +513,92 @@ def test_intersection_area_matches_raster_oracle(a, b):
     edges = np.concatenate([np.roll(a, -1, axis=0) - a, np.roll(b, -1, axis=0) - b])
     bound = cell * float(np.abs(edges).sum()) + 2 * cell**2 * len(edges)
     assert abs(inter - cells * cell**2) <= bound
+
+
+def _square(half, center=(0.0, 0.0)):
+    return np.array([[-half, -half], [half, -half], [half, half], [-half, half]]) + center
+
+
+class TestEllipseIntersectionArea:
+    @pytest.mark.parametrize(
+        "poly, ellipse, expected",
+        [
+            # The unit disk inside a square, and a square inside the unit disk.
+            (_square(2.0), (0.0, 0.0, 1.0, 1.0, 0.0), math.pi),
+            (_square(0.5), (0.0, 0.0, 1.0, 1.0, 0.0), 1.0),
+            # A centred square of side 1.6 cuts four segments of half-angle acos(0.8) off the disk.
+            (_square(0.8), (0.0, 0.0, 1.0, 1.0, 0.0), math.pi - 4 * (math.acos(0.8) - 0.8 * 0.6)),
+            (_square(1.0, (5.0, 5.0)), (0.0, 0.0, 1.0, 1.0, 0.0), 0.0),
+            # A rotated, shifted ellipse inside a square, and a square inside it.
+            (_square(10.0), (3.0, 1.0, 2.0, 0.5, 0.3), math.pi),
+            (rotate(_square(0.3), 0.3) + [3.0, 1.0], (3.0, 1.0, 2.0, 0.5, 0.3), 0.36),
+        ],
+    )
+    def test_closed_forms(self, poly, ellipse, expected):
+        assert ellipse_intersection_area(poly, *ellipse) == pytest.approx(expected, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "poly, expected",
+        [
+            # A repeated consecutive vertex is a zero-length edge.
+            ([[-2, -2], [2, -2], [2, -2], [2, 2], [-2, 2]], math.pi),
+            # A vertex at the centre of the ellipse.
+            ([[0, 0], [2, 0], [0, 2]], math.pi / 4),
+            # Two vertices on the ellipse; the chord between them cuts a segment.
+            ([[1, 0], [1, 1], [0, 1]], math.pi / 4 - 0.5),
+            # An edge tangent to the ellipse at (1, 0) closes a quarter sector.
+            ([[0, 0], [1, -1], [1, 1]], math.pi / 4),
+            # Every edge tangent: the square circumscribing the disk.
+            (_square(1.0), math.pi),
+        ],
+    )
+    def test_edge_cases(self, poly, expected):
+        poly = np.asarray(poly, dtype=float)
+        assert is_simple(poly)
+        area = ellipse_intersection_area(poly, 0.0, 0.0, 1.0, 1.0, 0.0)
+        assert area == pytest.approx(expected, abs=1e-14)
+
+
+@st.composite
+def _placed_ellipses(draw):
+    major, minor = sorted([draw(st.floats(0.2, 2.5)), draw(st.floats(0.2, 2.5))], reverse=True)
+    center = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    return Ellipse(*center, major, minor, draw(st.floats(-math.pi, math.pi)))
+
+
+def _ellipse_area(poly, e):
+    return ellipse_intersection_area(poly, e.x0, e.y0, e.semi_major, e.semi_minor, e.theta)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    _placed(),
+    _placed_ellipses(),
+    st.floats(0.1, 10.0),
+    st.floats(-math.pi, math.pi),
+    st.floats(-50.0, 50.0),
+    st.floats(-50.0, 50.0),
+)
+def test_ellipse_intersection_area_matches_raster_oracle(poly, e, scale, phi, tx, ty):
+    a, b = e.semi_major, e.semi_minor
+    inter = _ellipse_area(poly, e)
+    assert 0.0 <= inter <= min(signed_area(poly), math.pi * a * b)
+
+    # Similarity invariance: rotate by phi about the origin, scale, translate.
+    moved = rotate(poly, phi) * scale + [tx, ty]
+    (cx, cy), = rotate(np.array([[e.x0, e.y0]]), phi) * scale + [tx, ty]
+    e_moved = Ellipse(cx, cy, a * scale, b * scale, e.theta + phi)
+    assert _ellipse_area(moved, e_moved) == pytest.approx(inter * scale**2, rel=1e-9, abs=1e-12)
+
+    # Only cells crossed by the polygon's edges or the ellipse's boundary can
+    # be counted wrongly.  The boundary is four monotone arcs spanning the
+    # ellipse's bounding box twice in each axis, and a monotone piece crosses
+    # at most |dx| / cell + |dy| / cell + 2 cells.
+    ex = math.hypot(a * math.cos(e.theta), b * math.sin(e.theta))
+    ey = math.hypot(a * math.sin(e.theta), b * math.cos(e.theta))
+    both = np.vstack([poly, [[e.x0 - ex, e.y0 - ey], [e.x0 + ex, e.y0 + ey]]])
+    cell = float(np.max(both.max(axis=0) - both.min(axis=0))) / 3000
+    _, _, cells = _occupancy_counts(e, PolygonMask(poly), cell)
+    edges = np.abs(np.roll(poly, -1, axis=0) - poly)
+    crossed = (float(edges.sum()) + 4 * (ex + ey)) / cell + 2 * len(poly) + 8
+    assert abs(inter - cells * cell**2) <= crossed * cell**2
