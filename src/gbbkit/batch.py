@@ -104,10 +104,8 @@ _SAMPLE_BASIS = np.stack(
     ]
 )
 
-# Bound on the rounding of a level value |x|^2 - 1, relative to its scale,
-# and the level within which an arc's midpoint is near the other curve.
+# Bound on the rounding of a level value |x|^2 - 1, relative to its scale.
 _ROUNDING = 64.0 * np.finfo(float).eps
-_NEAR = 1e-8
 
 
 class _DiskFrame(NamedTuple):
@@ -190,111 +188,63 @@ def _crossing_splits(f: _DiskFrame):
     return split, scale, coincident
 
 
-def _arcs(split: np.ndarray):
-    """Arcs between sorted split angles, the last wrapping through 2*pi:
-    (end, length, midpoint)."""
-    end = np.empty_like(split)
-    end[:, :-1] = split[:, 1:]
-    end[:, -1] = split[:, 0] + 2.0 * np.pi
-    length = end - split
-    return end, length, split + 0.5 * length
+def _on_other(f: _DiskFrame, t: np.ndarray):
+    """Points c + U (cos t, sin t) of the other ellipse."""
+    cos_t = np.cos(t)
+    return f.c1 + f.u11 * cos_t, f.c2 + f.u21 * cos_t + f.u22 * np.sin(t)
 
 
-def _ellipse_arcs(f: _DiskFrame, split: np.ndarray, scale: np.ndarray):
-    """Arcs of q's ellipse between its splits: Green's-theorem area of each,
-    its midpoint's level against D (negative inside) and that level
-    relative to its rounding scale."""
-    end, dt, mid = _arcs(split)
-    de_cos = np.cos(end) - np.cos(split)
-    de_sin = np.sin(end) - np.sin(split)
-    area = 0.5 * (
-        f.u11 * f.u22 * dt + f.c1 * (f.u21 * de_cos + f.u22 * de_sin) - f.c2 * f.u11 * de_cos
-    )
-    mx = f.c1 + f.u11 * np.cos(mid)
-    my = f.c2 + f.u21 * np.cos(mid) + f.u22 * np.sin(mid)
-    level = mx * mx + my * my - 1.0
-    return area, level, np.abs(level) / scale[:, None]
-
-
-def _circle_arcs(f: _DiskFrame, split: np.ndarray):
-    """Arcs of the unit circle between the images of q's splits.  D-arc j
-    starts at the image of split order[j].  Returns order, the area of each
-    arc and its midpoint's level against q's ellipse, absolute and relative
-    to its rounding scale."""
-    cos_s, sin_s = np.cos(split), np.sin(split)
-    phi = np.arctan2(f.c2 + f.u21 * cos_s + f.u22 * sin_s, f.c1 + f.u11 * cos_s)
-    order = np.argsort(phi, axis=1, kind="stable")
-    _, dphi, mid = _arcs(np.take_along_axis(phi, order, axis=1))
-    w1 = (np.cos(mid) - f.c1) / f.u11
-    w2 = (np.sin(mid) - f.c2 - f.u21 * w1) / f.u22
-    level = w1 * w1 + w2 * w2 - 1.0
-    # |U^-1| <= |U|_F / det U bounds how far rounding moves w.
-    u_norm = np.sqrt(f.u11 * f.u11 + f.u21 * f.u21 + f.u22 * f.u22)
-    w_scale = 1.0 + ((1.0 + np.hypot(f.c1, f.c2)) * u_norm / (f.u11 * f.u22)) ** 2
-    return order, 0.5 * dphi, level, np.abs(level) / w_scale
-
-
-def _fill_undecided(state: np.ndarray) -> np.ndarray:
-    """Give each undecided (-1) arc the state of the nearest decided arc
-    before it, cyclically; rows with no decided arc stay -1."""
-    col = np.where(state >= 0, np.arange(state.shape[1]), -1)
-    last = np.maximum.accumulate(col, axis=1)
-    last = np.where(last < 0, col.max(axis=1, keepdims=True), last)
-    return np.where(last < 0, -1, np.take_along_axis(state, np.maximum(last, 0), axis=1))
+def _angle_to(f: _DiskFrame, t: np.ndarray, mx: np.ndarray, my: np.ndarray):
+    """Angle about the centre from the other ellipse's points at t to (mx, my)."""
+    x, y = _on_other(f, t)
+    return np.arctan2(x * my - y * mx, x * mx + y * my)
 
 
 def iou_ellipse_pairs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Row-wise exact IoU of the default level-set ellipses of (n, 5)
     Gaussian batches (the ellipses of convert.gbb_to_ellipse).
 
-    IoU is affine invariant, so the larger ellipse of each pair is mapped
-    to the unit disk D by its Cholesky factor; the other becomes
-    c + U (cos t, sin t) with U lower triangular.  Its crossings with the
-    unit circle are the real roots of a quartic in tan((t - t0) / 2),
-    solved as companion-matrix eigenvalues, with t0 chosen so the leading
-    coefficient f(t0 + pi) is the largest sampled.  Both boundaries are
-    split at the real part of every root, and Green's theorem sums the
-    pieces: an arc of the mapped ellipse counts
-    (det U * dt + c x U de) / 2 when its midpoint lies in D, an arc of the
-    circle counts dphi / 2 when its midpoint lies in the mapped ellipse.
-    A split that is not a crossing only cuts an arc in two, so no root
+    The decomposition of polygons.ellipse_intersection_area, with an ellipse
+    for the polygon.  IoU is affine invariant, so the larger ellipse of each
+    pair is mapped to the unit disk D by its Cholesky factor; the other
+    becomes c + U (cos t, sin t) with U lower triangular and det U <= 1.
+    Its crossings with the unit circle are the real roots of a quartic in
+    tan((t - t0) / 2), solved as companion-matrix eigenvalues, with t0
+    chosen so the leading coefficient f(t0 + pi) is the largest sampled.
+    Split at the real part of every root, each arc adds the signed area of
+    D within the fan from D's centre over it: its Green's-theorem area
+    (det U * dt + c x U de) / 2 when its midpoint lies in D, else the
+    sector of half the angle it sweeps about the centre.  The two agree on
+    the circle, so neither a split that is not a crossing nor a tangency
     needs classifying.
 
-    Where the curves touch, a double root splits into two nearby ones and
-    the short arcs between them, one on each curve, bound a sliver whose
-    midpoints are within rounding of the other curve.  Both arcs then take
-    the state of the arcs before them: whatever the sliver holds, that
-    keeps the boundary closed, and only the sliver's area is at stake.
-    Coincident ellipses, where the quartic vanishes or no arc's midpoint
-    is clear of the other curve, intersect in the smaller one.  A row that
-    is not positive-definite gives NaN.
+    An outside arc's angle is taken in halves, one atan2 from each end to
+    its midpoint, and a half sweeps less than pi: a cap of parameter length
+    below pi sweeping pi about the centre from outside D would hold the
+    centre and a half-disk, more than its area when det U <= 1.  A pair
+    with no arc clearly inside D is disjoint or externally tangent and
+    intersects in nothing; one with no arc clearly outside, or coincident
+    (the quartic vanishes or no arc is clear either way), intersects in the
+    smaller ellipse.  A row that is not positive-definite gives NaN.
     """
     frame = _DiskFrame.of(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
     det_u = frame.u11 * frame.u22
     split, scale, coincident = _crossing_splits(frame)
-    frame = frame.column()
-    q_area, q_level, q_rel = _ellipse_arcs(frame, split, scale)
-    order, d_area, d_level, d_rel = _circle_arcs(frame, split)
+    f = frame.column()
+    end = np.concatenate((split[:, 1:], split[:, :1] + 2.0 * np.pi), axis=1)
+    dt = end - split
+    mx, my = _on_other(f, split + 0.5 * dt)
+    level = mx * mx + my * my - 1.0
+    inside = level < 0.0
+    clear = np.abs(level) > _ROUNDING * scale[:, None]
 
-    # D-arc j and q-arc order[j] bound a sliver when they join the same two
-    # points and both midpoints lie near the other curve.
-    twin = np.roll(order, -1, axis=1) == (order + 1) % order.shape[1]
-    q_rel_d = np.take_along_axis(q_rel, order, axis=1)
-    sliver = (
-        twin
-        & (np.minimum(q_rel_d, d_rel) <= _ROUNDING)
-        & (np.maximum(q_rel_d, d_rel) <= _NEAR)
-    )
-    q_sliver = np.take_along_axis(sliver, np.argsort(order, axis=1), axis=1)
-    q_state = _fill_undecided(np.where((q_rel <= _ROUNDING) | q_sliver, -1, q_level < 0.0))
-    d_state = _fill_undecided(np.where((d_rel <= _ROUNDING) | sliver, -1, d_level < 0.0))
-
-    inter = np.sum(np.where(q_state == 1, q_area, 0.0), axis=1) + np.sum(
-        np.where(d_state == 1, d_area, 0.0), axis=1
-    )
+    de_cos, de_sin = np.cos(end) - np.cos(split), np.sin(end) - np.sin(split)
+    green = det_u[:, None] * dt + f.c1 * (f.u21 * de_cos + f.u22 * de_sin) - f.c2 * f.u11 * de_cos
+    sweep = _angle_to(f, split, mx, my) - _angle_to(f, end, mx, my)
     smaller = np.pi * np.minimum(det_u, 1.0)
-    coincident |= (q_state[:, 0] < 0) | (d_state[:, 0] < 0)
-    inter = np.where(coincident, smaller, np.clip(inter, 0.0, smaller))
+    inter = np.clip(0.5 * np.sum(np.where(inside, green, sweep), axis=1), 0.0, smaller)
+    inter = np.where(np.any(clear & inside, axis=1), inter, 0.0)
+    inter = np.where(coincident | ~np.any(clear & ~inside, axis=1), smaller, inter)
     return inter / (np.pi * (1.0 + det_u) - inter)
 
 

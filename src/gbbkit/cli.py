@@ -169,6 +169,17 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
+def _cell_size(text: str) -> float:
+    """--cell-size: a positive finite float, checked before any input is read."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def _parse_pair(line: str):
     obj = json.loads(line)
     if isinstance(obj, list) and len(obj) == 2:
@@ -380,7 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score JSON-lines shape pairs to CSV")
     p.add_argument("pairs", help="JSON-lines file, one shape pair per line")
     p.add_argument("--out", help="output CSV path (default stdout)")
-    p.add_argument("--cell-size", type=float, help="raster cell size for pairs with an ellipse")
+    p.add_argument(
+        "--cell-size", type=_cell_size, help="raster cell size for pairs with an ellipse"
+    )
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("scatter", help="random-box IoU vs ProbIoU scatter CSV")
@@ -403,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument(
         "--cell-size",
-        type=float,
+        type=_cell_size,
         help="rasterize at this cell size instead of the exact overlap",
     )
     p.add_argument("--out", help="output CSV path (default stdout)")

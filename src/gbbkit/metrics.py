@@ -34,21 +34,12 @@ class SimilarityReport:
     """Bhattacharyya distance/coefficient, Hellinger distance, and ProbIoU.
 
     Invariants: b_c = exp(-b_d), h_d = sqrt(1 - b_c), prob_iou = 1 - h_d.
-    loss_l1 is h_d in [0, 1]; loss_l2 is b_d in [0, inf).
     """
 
     b_d: float
     b_c: float
     h_d: float
     prob_iou: float
-
-    @property
-    def loss_l1(self) -> float:
-        return self.h_d
-
-    @property
-    def loss_l2(self) -> float:
-        return self.b_d
 
 
 def _bd_terms(

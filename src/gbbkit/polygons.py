@@ -329,7 +329,8 @@ def ellipse_intersection_area(
     half their angle.  A zero-length edge, and one that misses or only
     touches the disk, is a single sector.  The sum is clamped to [0,
     min(|P|, pi)] in the disk frame, where rounding could leave it a few ulp
-    outside.
+    outside.  batch.iou_ellipse_pairs sums the same fan over the arcs of a
+    second ellipse in place of the edges.
     """
     v = np.asarray(vertices, dtype=float)
     c, s = math.cos(theta), math.sin(theta)

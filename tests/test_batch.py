@@ -31,6 +31,7 @@ from gbbkit.batch import (
     prob_iou_pairs,
     rect_mask_bc_pairs,
 )
+from gbbkit.polygons import ellipse_intersection_area
 from gbbkit.raster import default_cell_size
 from gbbkit.regress import VARIANCE_FLOOR
 from gbbkit.types import PolygonMask
@@ -270,6 +271,23 @@ class TestIouEllipsePairs:
         single = [ellipse_iou(*as_rows([p, q])) for p, q in zip(ps, qs)]
         np.testing.assert_array_equal(batch, single)
 
+    def test_row_not_positive_definite_gives_nan(self):
+        rng = np.random.default_rng(8)
+        ps = as_rows([random_gauss_box(rng, 1.0) for _ in range(8)])
+        qs = as_rows([random_gauss_box(rng, 1.0) for _ in range(8)])
+        bad_p, bad_q = ps.copy(), qs.copy()
+        bad_p[1, 2] *= -1.0  # a < 0
+        bad_q[3, 2] *= -1.0
+        bad_p[6, 2:4] *= -1.0  # a, b < 0 with a positive determinant
+        bad_p[4, 4] = 2.0 * math.sqrt(bad_p[4, 2] * bad_p[4, 3])  # c^2 > ab
+        bad_q[5, 4] = -2.0 * math.sqrt(bad_q[5, 2] * bad_q[5, 3])
+        with np.errstate(invalid="ignore"):
+            got = iou_ellipse_pairs(bad_p, bad_q)
+        bad = [1, 3, 4, 5, 6]
+        assert np.isnan(got[bad]).all()
+        good = [0, 2, 7]
+        np.testing.assert_array_equal(got[good], iou_ellipse_pairs(ps, qs)[good])
+
 
 _gauss_rows = st.builds(
     lambda x, y, ap, bp, th: [x, y, *cov_from_angles(AngleCov(ap, bp, th))],
@@ -320,3 +338,42 @@ def test_ellipse_iou_similarity_invariant(p, q, scale, phi, tx, ty):
 @given(_gauss_rows, _gauss_rows)
 def test_ellipse_iou_matches_fine_raster(p, q):
     assert ellipse_iou(p, q) == pytest.approx(raster_iou(p, q), abs=1e-4)
+
+
+_eccentric_rows = st.builds(
+    lambda x, y, la, lb, th: [x, y, *cov_from_angles(AngleCov(math.exp(la), math.exp(lb), th))],
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.floats(-8.0, 2.0),
+    st.floats(-8.0, 2.0),
+    st.floats(-math.pi / 4, math.pi / 4),
+)
+
+
+def _ngon(e, n, scale=1.0):
+    """Vertices, CCW, of the ellipse's points at parameters 2 pi k / n,
+    pushed out from its center by scale."""
+    t = 2.0 * np.pi * np.arange(n) / n
+    cos_t, sin_t = math.cos(e.theta), math.sin(e.theta)
+    u, w = scale * e.semi_major * np.cos(t), scale * e.semi_minor * np.sin(t)
+    return np.column_stack([e.x0 + cos_t * u - sin_t * w, e.y0 + sin_t * u + cos_t * w])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_eccentric_rows, _eccentric_rows)
+def test_ellipse_iou_within_polygon_bracket(p, q):
+    # B's inscribed N-gon lies in B, and B in the N-gon with its vertices
+    # pushed out by 1 / cos(pi / N), so the exact overlaps of the two
+    # polygons with A bracket |A ∩ B|.  The bracket is at most
+    # (pi / N)^2 |B| wide, so it also checks that the two fan sums agree.
+    n = 2000
+    ea, eb = (gbb_to_ellipse(GaussBox(*row)) for row in (p, q))
+    areas = math.pi * (ea.semi_major * ea.semi_minor + eb.semi_major * eb.semi_minor)
+    iou = ellipse_iou(p, q)
+    inter = iou * areas / (1.0 + iou)
+    a = (ea.x0, ea.y0, ea.semi_major, ea.semi_minor, ea.theta)
+    lo = ellipse_intersection_area(_ngon(eb, n), *a)
+    hi = ellipse_intersection_area(_ngon(eb, n, 1.0 / math.cos(math.pi / n)), *a)
+    assert hi - lo <= 2.5e-6 * areas
+    slack = 1e-12 * areas
+    assert lo - slack <= inter <= hi + slack

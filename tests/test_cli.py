@@ -450,6 +450,20 @@ class TestRegress:
         assert "momentum" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["score", "fidelity"])
+def test_bad_cell_size_exits_2_before_reading_input(command, value, tmp_path, capsys):
+    # The input path does not exist: reading it would exit 1 instead.
+    missing = str(tmp_path / "missing.json")
+    argv = ["score", missing] if command == "score" else ["fidelity", "--annotations", missing]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cell-size", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --cell-size: must be a positive finite number" in err
+    assert "skipped" not in err
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "gbbkit.cli", "convert", HBB_JSON, "gbb"],

@@ -171,7 +171,7 @@ def test_regress_golden(tmp_path, capsys):
         outs.append(_cli(["regress", "--config", str(config), "--out", str(trajectory)], capsys))
         outs.append(trajectory.read_text(encoding="utf-8"))
     assert all('"aborted": null' in out for out in outs[::2])
-    assert _digest("\n".join(outs)) == "8e2564ba3949bcb6"
+    assert _digest("\n".join(outs)) == "879b6dc8bf6d6e42"
 
 
 def test_regress_fit_bits_golden(tmp_path, capsys):

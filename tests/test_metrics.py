@@ -94,11 +94,6 @@ class TestSimilarity:
         assert rep.h_d == 1.0
         assert rep.prob_iou == 0.0
 
-    def test_loss_aliases(self):
-        rep = similarity(UNIT, SHIFTED)
-        assert rep.loss_l1 == rep.h_d
-        assert rep.loss_l2 == rep.b_d
-
     def test_report_internal_consistency(self):
         rng = np.random.default_rng(3)
         for _ in range(300):
