@@ -15,9 +15,17 @@ import numpy as np
 import pytest
 
 from gbbkit.annotations import generate_synthetic
-from gbbkit.cli import _fidelity_ious, main
-from gbbkit.convert import gbb_to_ellipse, mask_to_gbb, mask_to_hbb, mask_to_obb
+from gbbkit.cli import _fidelity_ious, main, parse_shape
+from gbbkit.convert import (
+    gbb_to_angle_cov,
+    gbb_to_ellipse,
+    mask_to_gbb,
+    mask_to_hbb,
+    mask_to_obb,
+    shape_to_gbb,
+)
 from gbbkit.raster import default_cell_size, iou_raster
+from gbbkit.regress import VARIANCE_FLOOR, LossSchedule, OptimizerConfig, fit_gbb
 
 
 def _digest(data: str) -> str:
@@ -187,3 +195,69 @@ def test_regress_fit_bits_golden(tmp_path, capsys):
         outs.append("\n".join(row.rsplit(",", 1)[0] for row in rows))
     assert outs[1].startswith("step,loss,grad_norm,prob_iou\n")
     assert _digest("\n".join(outs)) == "ea2fb2c857866e7e"
+
+
+# Fit paths the configs above never reach.  Each config names its branch,
+# and the test checks on the trajectory that the branch runs.
+_BRANCH_CONFIGS = [
+    # A correlated target (c != 0) from a start whose ProbIoU rounds to 0,
+    # under constrained5.
+    {"target": {"type": "gbb", "x": 0.5, "y": -0.5, "a": 1.0, "b": 0.4, "c": 0.45},
+     "init": {"type": "hbb", "x": 6, "y": -4, "w": 1, "h": 1}},
+    # angle5 whose theta leaves [-pi/4, pi/4]: the update re-canonicalizes
+    # it and swaps the axes.
+    {"target": {"type": "obb", "x": 0.0, "y": 0.0, "w": 2.0, "h": 1.0, "theta": 0.95},
+     "init": {"type": "obb", "x": 0.2, "y": 0.1, "w": 1.8, "h": 1.1, "theta": 0.6},
+     "optimizer": {"step_size": 0.02, "grad_clip": 10.0, "parametrization": "angle5"}},
+    # hbb4 whose update drives a variance below VARIANCE_FLOOR, and the fit
+    # goes on from the floor.
+    {"target": {"type": "hbb", "x": 0, "y": 0, "w": 1, "h": 1},
+     "init": {"type": "hbb", "x": 1.0, "y": 0, "w": 0.8, "h": 1.0},
+     "optimizer": {"step_size": 0.05, "grad_clip": 10.0, "parametrization": "hbb4"}},
+    # An oversized step floors both variances: the next state is not
+    # positive-definite and the fit aborts.
+    {"target": {"type": "hbb", "x": 0, "y": 0, "w": 1, "h": 1},
+     "init": {"type": "hbb", "x": 0, "y": 0, "w": 35, "h": 35},
+     "schedule": {"total_steps": 100},
+     "optimizer": {"step_size": 1e4, "grad_clip": 10.0, "parametrization": "hbb4"}},
+    # init == target: the gradient is zero, and every L1 step meets the
+    # singular chain factor.
+    {"target": {"type": "obb", "x": 1, "y": 2, "w": 3, "h": 1, "theta": 0.3},
+     "init": {"type": "obb", "x": 1, "y": 2, "w": 3, "h": 1, "theta": 0.3}},
+]
+
+
+def _theta_wraps(traj) -> bool:
+    thetas = [gbb_to_angle_cov(s.params).theta for s in traj.steps]
+    return any(abs(t1 - t0) > math.pi / 4 for t0, t1 in zip(thetas, thetas[1:]))
+
+
+_BRANCH_RUNS = [
+    lambda traj: traj.steps[0].prob_iou < 1e-12 and traj.final().params.c != 0.0,
+    _theta_wraps,
+    lambda traj: traj.aborted is None
+    and any(VARIANCE_FLOOR in (s.params.a, s.params.b) for s in traj.steps),
+    lambda traj: traj.aborted is not None,
+    lambda traj: all(s.grad_norm == 0.0 for s in traj.steps),
+]
+
+
+def test_regress_fit_branches_golden(tmp_path, capsys):
+    # Summary, exit code and trajectory without the logged IoU column, as
+    # in test_regress_fit_bits_golden.
+    outs = []
+    for i, (cfg, branch_runs) in enumerate(zip(_BRANCH_CONFIGS, _BRANCH_RUNS)):
+        target = shape_to_gbb(parse_shape(cfg["target"]))
+        init = shape_to_gbb(parse_shape(cfg["init"]))
+        traj = fit_gbb(
+            target, init, LossSchedule(**cfg.get("schedule", {})),
+            OptimizerConfig(**cfg.get("optimizer", {})),
+        )
+        assert branch_runs(traj), f"config {i} misses its branch"
+        config = tmp_path / f"fit{i}.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        trajectory = tmp_path / f"trajectory{i}.csv"
+        outs.append(_cli(["regress", "--config", str(config), "--out", str(trajectory)], capsys))
+        rows = trajectory.read_text(encoding="utf-8").splitlines()
+        outs.append("\n".join(row.rsplit(",", 1)[0] for row in rows))
+    assert _digest("\n".join(outs)) == "b56c9641f6c5224b"
