@@ -43,7 +43,7 @@ class HbbGradient:
 def _grad_terms(
     x1: float, y1: float, a1: float, b1: float, c1: float,
     x2: float, y2: float, a2: float, b2: float, c2: float,
-) -> np.ndarray:
+) -> tuple[float, float, float, float, float]:
     """Bhattacharyya-distance gradient w.r.t. (x1, y1, a1, b1, c1), unvalidated.
 
     Both covariances must be positive-definite; callers decide how strictly
@@ -78,7 +78,7 @@ def _grad_terms(
         - csum / det_sum
         + c1 / (2.0 * det1)
     )
-    return np.array([g_x, g_y, g_a, g_b, g_c])
+    return g_x, g_y, g_a, g_b, g_c
 
 
 def _l1_chain_factor(p: GaussBox, q: GaussBox) -> float | None:
@@ -141,7 +141,7 @@ def grad_general(p: GaussBox, q: GaussBox, which: str = "l2") -> np.ndarray:
     require_valid_gbb(q)
     if which not in ("l1", "l2"):
         raise ValueError(f"loss selector must be 'l1' or 'l2', got {which!r}")
-    grad = _grad_terms(p.x0, p.y0, p.a, p.b, p.c, q.x0, q.y0, q.a, q.b, q.c)
+    grad = np.array(_grad_terms(p.x0, p.y0, p.a, p.b, p.c, q.x0, q.y0, q.a, q.b, q.c))
     if which == "l1":
         factor = _l1_chain_factor(p, q)
         if factor is None:

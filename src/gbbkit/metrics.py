@@ -92,9 +92,13 @@ def similarity(p: GaussBox, q: GaussBox) -> SimilarityReport:
 def _similarity_report(b1: float, b2: float) -> SimilarityReport:
     """The report of similarity from the two Bhattacharyya terms, unvalidated."""
     b_d = max(b1 + b2, 0.0)
-    b_c = math.exp(-b_d)
-    h_d = math.sqrt(max(0.0, -math.expm1(-b_d)))
-    return SimilarityReport(b_d=b_d, b_c=b_c, h_d=h_d, prob_iou=1.0 - h_d)
+    h_d = _hellinger(b_d)
+    return SimilarityReport(b_d=b_d, b_c=math.exp(-b_d), h_d=h_d, prob_iou=1.0 - h_d)
+
+
+def _hellinger(b_d: float) -> float:
+    """Hellinger distance from a clamped Bhattacharyya distance b_d >= 0."""
+    return math.sqrt(max(0.0, -math.expm1(-b_d)))
 
 
 def loss_l2_axis_aligned(p: GaussBox, q: GaussBox) -> float:

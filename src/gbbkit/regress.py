@@ -11,6 +11,7 @@ trajectory, bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,8 +19,14 @@ import numpy as np
 from .batch import iou_ellipse_pairs
 from .convert import constrained_to_cov, cov_from_angles, gbb_to_angle_cov
 from .gradients import _grad_terms, _l1_factor_at, grad_general
-from .metrics import _bd_terms, _similarity_report, similarity
-from .types import AngleCov, ConstrainedCovParams, GaussBox, require_valid_gbb, validate_gbb
+from .metrics import _bd_terms, _hellinger, similarity
+from .types import (
+    POSITIVE_DEFINITE_EPS,
+    AngleCov,
+    ConstrainedCovParams,
+    GaussBox,
+    require_valid_gbb,
+)
 
 PARAMETRIZATIONS = ("hbb4", "angle5", "constrained5")
 
@@ -30,6 +37,15 @@ VARIANCE_FLOOR = 1e-9
 # cost of a few hundred microseconds, and its temporaries grow with the
 # block, so blocks keep both small.
 _LOG_BLOCK = 64
+
+
+def _require_number(name: str, value, kind=numbers.Real) -> None:
+    """Raise ValueError unless value is a finite number of the kind (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -48,6 +64,10 @@ class LossSchedule:
     total_steps: int = 400
 
     def __post_init__(self):
+        _require_number("omega1", self.omega1)
+        _require_number("omega2", self.omega2)
+        _require_number("switch_fraction", self.switch_fraction)
+        _require_number("total_steps", self.total_steps, numbers.Integral)
         if not (self.omega1 > 0 and self.omega2 > 0):
             raise ValueError("loss weights must be positive")
         if not 0.0 <= self.switch_fraction <= 1.0:
@@ -65,6 +85,8 @@ class OptimizerConfig:
     parametrization: str = "constrained5"
 
     def __post_init__(self):
+        _require_number("step_size", self.step_size)
+        _require_number("grad_clip", self.grad_clip)
         if not self.step_size > 0:
             raise ValueError(f"step_size must be positive, got {self.step_size}")
         if not self.grad_clip > 0:
@@ -134,21 +156,20 @@ class _Parametrization:
         if kind == "hbb4":
             if init.c != 0.0:
                 raise ValueError("hbb4 parametrization needs a diagonal init (c == 0)")
-            self.vec = np.array([init.x0, init.y0, init.a, init.b])
+            vec = (init.x0, init.y0, init.a, init.b)
         elif kind == "angle5":
             ac = gbb_to_angle_cov(init)
-            self.vec = np.array([init.x0, init.y0, ac.a_prime, ac.b_prime, ac.theta])
+            vec = (init.x0, init.y0, ac.a_prime, ac.b_prime, ac.theta)
         else:
             # b - c^2/a = det/a > 0 for valid inputs, so both logs are defined.
-            self.vec = np.array(
-                [
-                    init.x0,
-                    init.y0,
-                    math.log(init.a),
-                    math.log(init.b - init.c * init.c / init.a),
-                    init.c,
-                ]
+            vec = (
+                init.x0,
+                init.y0,
+                math.log(init.a),
+                math.log(init.b - init.c * init.c / init.a),
+                init.c,
             )
+        self.vec = [float(v) for v in vec]
 
     def gauss_box(self) -> GaussBox:
         v = self.vec
@@ -160,84 +181,84 @@ class _Parametrization:
         a, b, c = constrained_to_cov(ConstrainedCovParams(v[2], v[3], v[4]))
         return GaussBox(v[0], v[1], a, b, c)
 
-    def chain_gradient(self, grad_abc: np.ndarray) -> np.ndarray:
+    def chain_gradient(self, grad_abc) -> tuple[float, ...]:
         """Pull a (x, y, a, b, c) gradient back into this update space."""
         gx, gy, ga, gb, gc = grad_abc
         v = self.vec
         if self.kind == "hbb4":
-            return np.array([gx, gy, ga, gb])
+            return gx, gy, ga, gb
         if self.kind == "angle5":
             ap, bp, th = v[2], v[3], v[4]
             cos2 = math.cos(th) ** 2
             sin2 = math.sin(th) ** 2
             s2t = math.sin(2.0 * th)
             c2t = math.cos(2.0 * th)
-            return np.array(
-                [
-                    gx,
-                    gy,
-                    ga * cos2 + gb * sin2 + 0.5 * gc * s2t,
-                    ga * sin2 + gb * cos2 - 0.5 * gc * s2t,
-                    (ap - bp) * ((gb - ga) * s2t + gc * c2t),
-                ]
+            return (
+                gx,
+                gy,
+                ga * cos2 + gb * sin2 + 0.5 * gc * s2t,
+                ga * sin2 + gb * cos2 - 0.5 * gc * s2t,
+                (ap - bp) * ((gb - ga) * s2t + gc * c2t),
             )
         alpha, beta, c = v[2], v[3], v[4]
         ea = math.exp(alpha)
-        return np.array(
-            [
-                gx,
-                gy,
-                ga * ea - gb * c * c / ea,
-                gb * math.exp(beta),
-                gb * 2.0 * c / ea + gc,
-            ]
+        return (
+            gx,
+            gy,
+            ga * ea - gb * c * c / ea,
+            gb * math.exp(beta),
+            gb * 2.0 * c / ea + gc,
         )
 
-    def apply_update(self, delta: np.ndarray) -> None:
-        self.vec = self.vec - delta
-        if self.kind == "hbb4":
-            self.vec[2] = max(self.vec[2], VARIANCE_FLOOR)
-            self.vec[3] = max(self.vec[3], VARIANCE_FLOOR)
-        elif self.kind == "angle5":
-            self.vec[2] = max(self.vec[2], VARIANCE_FLOOR)
-            self.vec[3] = max(self.vec[3], VARIANCE_FLOOR)
+    def apply_update(self, delta) -> None:
+        v = self.vec = [x - d for x, d in zip(self.vec, delta)]
+        if self.kind == "constrained5":
+            return
+        v[2] = max(v[2], VARIANCE_FLOOR)
+        v[3] = max(v[3], VARIANCE_FLOOR)
+        if self.kind == "angle5":
             # Re-canonicalize the angle each step, swapping axes as needed.
-            th = self.vec[4]
+            th = v[4]
             if th > math.pi / 4.0 or th < -math.pi / 4.0:
                 th = (th + math.pi / 2.0) % math.pi - math.pi / 2.0
                 if th > math.pi / 4.0:
                     th -= math.pi / 2.0
-                    self.vec[2], self.vec[3] = self.vec[3], self.vec[2]
+                    v[2], v[3] = v[3], v[2]
                 elif th < -math.pi / 4.0:
                     th += math.pi / 2.0
-                    self.vec[2], self.vec[3] = self.vec[3], self.vec[2]
-                self.vec[4] = th
+                    v[2], v[3] = v[3], v[2]
+                v[4] = th
 
 
 def _loss_and_grad(current: GaussBox, target: GaussBox, selector: str):
-    """Similarity report, unweighted loss, and (x, y, a, b, c) gradient.
+    """ProbIoU, unweighted loss, and (x, y, a, b, c) gradient, as floats.
 
-    The same numbers as similarity and grad_general, with the state
-    validated once; the target is validated by the caller.  A state
-    outside the positive-definite region (possible when an oversized step
-    slams both variances into the floor) reports an infinite loss so the
-    caller aborts instead of raising mid-run.
+    The same numbers as similarity and grad_general, with the state checked
+    once, by every condition of validate_gbb; the target is validated by
+    the caller.  A state outside the positive-definite region (possible
+    when an oversized step slams both variances into the floor) reports an
+    infinite loss so the caller aborts instead of raising mid-run.
     """
-    if not validate_gbb(current)[0]:
-        return None, math.inf, np.zeros(5)
-    args = (current.x0, current.y0, current.a, current.b, current.c,
-            target.x0, target.y0, target.a, target.b, target.c)
-    report = _similarity_report(*_bd_terms(*args))
+    x0, y0, a, b, c = current.x0, current.y0, current.a, current.b, current.c
+    if not (
+        math.isfinite(x0) and math.isfinite(y0) and math.isfinite(a)
+        and math.isfinite(b) and math.isfinite(c)
+        and a > POSITIVE_DEFINITE_EPS and a * b - c * c > POSITIVE_DEFINITE_EPS
+    ):
+        return 0.0, math.inf, (0.0,) * 5
+    args = (x0, y0, a, b, c, target.x0, target.y0, target.a, target.b, target.c)
+    b1, b2 = _bd_terms(*args)
+    b_d = max(b1 + b2, 0.0)
+    h_d = _hellinger(b_d)
     grad = _grad_terms(*args)
     if selector == "l2":
-        return report, report.b_d, grad
-    factor = _l1_factor_at(report.b_d)
+        return 1.0 - h_d, b_d, grad
+    factor = _l1_factor_at(b_d)
     if factor is None:
         # Exact optimum: the L1 chain factor is singular but the true
         # directional gradient is what an optimizer should see: zero.
-        return report, report.h_d, np.zeros(5)
-    grad *= factor
-    return report, report.h_d, grad
+        return 1.0 - h_d, h_d, (0.0,) * 5
+    return 1.0 - h_d, h_d, tuple(g * factor for g in grad)
 
 
 def fit_gbb(
@@ -270,26 +291,31 @@ def fit_gbb(
             steps.extend(FitStep(*s, iou) for s, iou in zip(pending, ious.tolist()))
             pending.clear()
 
+    clip = opt.grad_clip
     for step in range(schedule.total_steps + 1):
         selector, weight = schedule_loss(min(step, schedule.total_steps - 1), schedule)
         current = param.gauss_box()
-        report, loss, grad_abc = _loss_and_grad(current, target, selector)
-        grad_vec = weight * param.chain_gradient(grad_abc)
-        finite = math.isfinite(loss) and bool(np.all(np.isfinite(grad_vec)))
-        if not finite:
+        prob_iou, loss, grad_abc = _loss_and_grad(current, target, selector)
+        grad_vec = [weight * g for g in param.chain_gradient(grad_abc)]
+        if not (math.isfinite(loss) and all(map(math.isfinite, grad_vec))):
             log_pending()
             steps.append(FitStep(current, math.inf, math.inf, 0.0, 0.0))
             return FitTrajectory(
                 steps,
                 aborted=f"non-finite loss or gradient at step {step}; reduce step_size",
             )
-        pending.append((current, weight * loss, float(np.linalg.norm(grad_vec)), report.prob_iou))
+        # The logged norm keeps np.linalg.norm's bits: the square root of the
+        # BLAS ddot, which OpenBLAS sums as a chain of fused multiply-adds.
+        # So grad_norm, and with it the regress goldens, depends on the BLAS.
+        # On 200,000 random 4- and 5-vectors a Python sum of squares gave
+        # other last bits on 21,738 and math.hypot on 37,595.
+        arr = np.array(grad_vec)
+        pending.append((current, weight * loss, math.sqrt(arr.dot(arr)), prob_iou))
         if len(pending) == _LOG_BLOCK:
             log_pending()
         if step == schedule.total_steps:
             break
-        clipped = np.clip(grad_vec, -opt.grad_clip, opt.grad_clip)
-        param.apply_update(opt.step_size * clipped)
+        param.apply_update([opt.step_size * min(max(g, -clip), clip) for g in grad_vec])
     log_pending()
     return FitTrajectory(steps)
 

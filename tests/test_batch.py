@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_gauss_box
@@ -15,6 +15,7 @@ from gbbkit import (
     cov_from_angles,
     fit_gbb,
     gbb_to_ellipse,
+    grad_general,
     hbb_to_gbb,
     iou_hbb,
     iou_raster,
@@ -31,9 +32,10 @@ from gbbkit.batch import (
     prob_iou_pairs,
     rect_mask_bc_pairs,
 )
+from gbbkit.gradients import _grad_terms, _l1_factor_at
 from gbbkit.polygons import ellipse_intersection_area
 from gbbkit.raster import default_cell_size
-from gbbkit.regress import VARIANCE_FLOOR
+from gbbkit.regress import VARIANCE_FLOOR, _loss_and_grad
 from gbbkit.types import PolygonMask
 
 
@@ -301,6 +303,33 @@ _gauss_rows = st.builds(
 
 def _area(row):
     return math.sqrt(row[2] * row[3] - row[4] ** 2)
+
+
+# The scalar and batch Bhattacharyya paths stay separate (a batch of one
+# is several times slower), so these properties pin them together.
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_gauss_rows, _gauss_rows)
+def test_scalar_similarity_matches_batch_kernels(p, q):
+    rep = similarity(GaussBox(*p), GaussBox(*q))
+    rows_p, rows_q = np.array([p]), np.array([q])
+    assert bd_pairs(rows_p, rows_q)[0] == pytest.approx(rep.b_d, rel=1e-12)
+    assert hd_pairs(rows_p, rows_q)[0] == pytest.approx(rep.h_d, rel=1e-12)
+    assert prob_iou_pairs(rows_p, rows_q)[0] == pytest.approx(rep.prob_iou, rel=1e-12)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_gauss_rows, _gauss_rows, st.sampled_from(["l1", "l2"]))
+def test_grad_general_matches_the_fit_step_bits(p, q, which):
+    # The fit step keeps the gradient as floats, grad_general wraps the same
+    # floats in an array: both must carry the same bits.
+    gp, gq = GaussBox(*p), GaussBox(*q)
+    b_d = similarity(gp, gq).b_d
+    assume(which == "l2" or b_d > 0.0)
+    want = np.array(_grad_terms(*p, *q))
+    if which == "l1":
+        want = want * _l1_factor_at(b_d)
+    assert grad_general(gp, gq, which).tobytes() == want.tobytes()
+    assert np.array(_loss_and_grad(gp, gq, which)[2]).tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

@@ -449,6 +449,31 @@ class TestRegress:
         assert code == 2
         assert "momentum" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "section, values, message",
+        [
+            ("schedule", {"total_steps": 40.5}, "total_steps must be an integer, got 40.5"),
+            ("schedule", {"total_steps": True}, "total_steps must be an integer, got True"),
+            ("schedule", {"omega2": math.inf}, "omega2 must be finite, got inf"),
+        ],
+        ids=["fractional_steps", "bool_steps", "infinite_weight"],
+    )
+    def test_bad_config_number_exit_2(self, tmp_path, capsys, section, values, message):
+        cfg = self._write_config(
+            tmp_path,
+            {
+                "target": {"type": "hbb", "x": 0, "y": 0, "w": 1, "h": 1},
+                "init": {"type": "hbb", "x": 1, "y": 0, "w": 1, "h": 1},
+                section: values,
+            },
+        )
+        out = tmp_path / "t.csv"
+        code, stdout, err = run_main(["regress", "--config", cfg, "--out", str(out)], capsys)
+        assert code == 2
+        assert err == f"error: config field {section!r}: {message}\n"
+        assert stdout == "" and not out.exists()
+
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 @pytest.mark.parametrize("command", ["score", "fidelity"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,29 @@ class TestFitGbb:
             want = iou_ellipse_pairs(rows(s.params for s in logged), rows([target] * len(logged)))
             assert [s.iou for s in logged] == want.tolist()
         assert aborted.final().iou == 0.0 and len(aborted.steps) >= 2
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            GaussBox(np.nan, 0.0, 1.0, 1.0, 0.0),
+            GaussBox(0.0, np.inf, 1.0, 1.0, 0.0),
+            GaussBox(0.0, 0.0, np.inf, 1.0, 0.0),
+            GaussBox(0.0, 0.0, 1.0, np.inf, 0.0),
+            GaussBox(0.0, 0.0, 1.0, 1.0, np.nan),
+            GaussBox(0.0, 0.0, 1e-12, 10.0, 0.0),
+            GaussBox(0.0, 0.0, 1.0, 1e-12, 0.0),
+            GaussBox(0.0, 0.0, 1.0, 1.0, 1.0),
+            GaussBox(0.0, 0.0, 1.0, 1e-12 + 2e-16, 0.0),
+        ],
+    )
+    def test_step_state_check_is_validate_gbb(self, state):
+        # The fit step checks its state inline; it must accept exactly the
+        # states validate_gbb accepts, and report the others as infinite.
+        from gbbkit.regress import _loss_and_grad
+
+        for selector in ("l1", "l2"):
+            _, loss, _ = _loss_and_grad(state, UNIT_AT(0.0), selector)
+            assert math.isfinite(loss) == validate_gbb(state)[0]
 
     def test_hbb4_requires_diagonal_init(self):
         with pytest.raises(ValueError):
