@@ -197,48 +197,44 @@ def test_regress_fit_bits_golden(tmp_path, capsys):
     assert _digest("\n".join(outs)) == "ea2fb2c857866e7e"
 
 
-# Fit paths the configs above never reach.  Each config names its branch,
-# and the test checks on the trajectory that the branch runs.
-_BRANCH_CONFIGS = [
-    # A correlated target (c != 0) from a start whose ProbIoU rounds to 0,
-    # under constrained5.
-    {"target": {"type": "gbb", "x": 0.5, "y": -0.5, "a": 1.0, "b": 0.4, "c": 0.45},
-     "init": {"type": "hbb", "x": 6, "y": -4, "w": 1, "h": 1}},
-    # angle5 whose theta leaves [-pi/4, pi/4]: the update re-canonicalizes
-    # it and swaps the axes.
-    {"target": {"type": "obb", "x": 0.0, "y": 0.0, "w": 2.0, "h": 1.0, "theta": 0.95},
-     "init": {"type": "obb", "x": 0.2, "y": 0.1, "w": 1.8, "h": 1.1, "theta": 0.6},
-     "optimizer": {"step_size": 0.02, "grad_clip": 10.0, "parametrization": "angle5"}},
-    # hbb4 whose update drives a variance below VARIANCE_FLOOR, and the fit
-    # goes on from the floor.
-    {"target": {"type": "hbb", "x": 0, "y": 0, "w": 1, "h": 1},
-     "init": {"type": "hbb", "x": 1.0, "y": 0, "w": 0.8, "h": 1.0},
-     "optimizer": {"step_size": 0.05, "grad_clip": 10.0, "parametrization": "hbb4"}},
-    # An oversized step floors both variances: the next state is not
-    # positive-definite and the fit aborts.
-    {"target": {"type": "hbb", "x": 0, "y": 0, "w": 1, "h": 1},
-     "init": {"type": "hbb", "x": 0, "y": 0, "w": 35, "h": 35},
-     "schedule": {"total_steps": 100},
-     "optimizer": {"step_size": 1e4, "grad_clip": 10.0, "parametrization": "hbb4"}},
-    # init == target: the gradient is zero, and every L1 step meets the
-    # singular chain factor.
-    {"target": {"type": "obb", "x": 1, "y": 2, "w": 3, "h": 1, "theta": 0.3},
-     "init": {"type": "obb", "x": 1, "y": 2, "w": 3, "h": 1, "theta": 0.3}},
-]
-
-
 def _theta_wraps(traj) -> bool:
     thetas = [gbb_to_angle_cov(s.params).theta for s in traj.steps]
     return any(abs(t1 - t0) > math.pi / 4 for t0, t1 in zip(thetas, thetas[1:]))
 
 
-_BRANCH_RUNS = [
-    lambda traj: traj.steps[0].prob_iou < 1e-12 and traj.final().params.c != 0.0,
-    _theta_wraps,
-    lambda traj: traj.aborted is None
-    and any(VARIANCE_FLOOR in (s.params.a, s.params.b) for s in traj.steps),
-    lambda traj: traj.aborted is not None,
-    lambda traj: all(s.grad_norm == 0.0 for s in traj.steps),
+# Fit paths the configs above never reach.  Each config names its branch
+# and comes with a check on its trajectory that the branch runs.
+_BRANCH_CASES = [
+    # A correlated target (c != 0) from a start whose ProbIoU rounds to 0,
+    # under constrained5.
+    ({"target": {"type": "gbb", "x": 0.5, "y": -0.5, "a": 1.0, "b": 0.4, "c": 0.45},
+      "init": {"type": "hbb", "x": 6, "y": -4, "w": 1, "h": 1}},
+     lambda traj: traj.steps[0].prob_iou < 1e-12 and traj.final().params.c != 0.0),
+    # angle5 whose theta leaves [-pi/4, pi/4]: the update re-canonicalizes
+    # it and swaps the axes.
+    ({"target": {"type": "obb", "x": 0.0, "y": 0.0, "w": 2.0, "h": 1.0, "theta": 0.95},
+      "init": {"type": "obb", "x": 0.2, "y": 0.1, "w": 1.8, "h": 1.1, "theta": 0.6},
+      "optimizer": {"step_size": 0.02, "grad_clip": 10.0, "parametrization": "angle5"}},
+     _theta_wraps),
+    # hbb4 whose update drives a variance below VARIANCE_FLOOR, and the fit
+    # goes on from the floor.
+    ({"target": {"type": "hbb", "x": 0, "y": 0, "w": 1, "h": 1},
+      "init": {"type": "hbb", "x": 1.0, "y": 0, "w": 0.8, "h": 1.0},
+      "optimizer": {"step_size": 0.05, "grad_clip": 10.0, "parametrization": "hbb4"}},
+     lambda traj: traj.aborted is None
+     and any(VARIANCE_FLOOR in (s.params.a, s.params.b) for s in traj.steps)),
+    # An oversized step floors both variances: the next state is not
+    # positive-definite and the fit aborts.
+    ({"target": {"type": "hbb", "x": 0, "y": 0, "w": 1, "h": 1},
+      "init": {"type": "hbb", "x": 0, "y": 0, "w": 35, "h": 35},
+      "schedule": {"total_steps": 100},
+      "optimizer": {"step_size": 1e4, "grad_clip": 10.0, "parametrization": "hbb4"}},
+     lambda traj: traj.aborted is not None),
+    # init == target: the gradient is zero, and every L1 step meets the
+    # singular chain factor.
+    ({"target": {"type": "obb", "x": 1, "y": 2, "w": 3, "h": 1, "theta": 0.3},
+      "init": {"type": "obb", "x": 1, "y": 2, "w": 3, "h": 1, "theta": 0.3}},
+     lambda traj: all(s.grad_norm == 0.0 for s in traj.steps)),
 ]
 
 
@@ -246,7 +242,7 @@ def test_regress_fit_branches_golden(tmp_path, capsys):
     # Summary, exit code and trajectory without the logged IoU column, as
     # in test_regress_fit_bits_golden.
     outs = []
-    for i, (cfg, branch_runs) in enumerate(zip(_BRANCH_CONFIGS, _BRANCH_RUNS)):
+    for i, (cfg, branch_runs) in enumerate(_BRANCH_CASES):
         target = shape_to_gbb(parse_shape(cfg["target"]))
         init = shape_to_gbb(parse_shape(cfg["init"]))
         traj = fit_gbb(
