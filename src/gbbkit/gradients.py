@@ -55,30 +55,15 @@ def _grad_terms(
     bsum = b1 + b2
     csum = c1 + c2
     det_sum = asum * bsum - csum * csum
-    num = asum * dy * dy + bsum * dx * dx - 2.0 * csum * dx * dy
     det1 = a1 * b1 - c1 * c1
-
-    g_x = (bsum * dx - csum * dy) / (2.0 * det_sum)
-    g_y = (asum * dy - csum * dx) / (2.0 * det_sum)
-    g_a = (
-        dy * dy / (4.0 * det_sum)
-        - num * bsum / (4.0 * det_sum * det_sum)
-        + bsum / (2.0 * det_sum)
-        - b1 / (4.0 * det1)
-    )
-    g_b = (
-        dx * dx / (4.0 * det_sum)
-        - num * asum / (4.0 * det_sum * det_sum)
-        + asum / (2.0 * det_sum)
-        - a1 / (4.0 * det1)
-    )
-    g_c = (
-        -dx * dy / (2.0 * det_sum)
-        + num * csum / (2.0 * det_sum * det_sum)
-        - csum / det_sum
-        + c1 / (2.0 * det1)
-    )
-    return g_x, g_y, g_a, g_b, g_c
+    # u = S^-1 (mu1 - mu2) with S = Sigma1 + Sigma2.  The mean term
+    # u . (mu1 - mu2) / 4 has gradient -u u^T / 4 in S, so no terms cancel.
+    u_x = (bsum * dx - csum * dy) / det_sum
+    u_y = (asum * dy - csum * dx) / det_sum
+    g_a = bsum / (2.0 * det_sum) - b1 / (4.0 * det1) - u_x * u_x / 4.0
+    g_b = asum / (2.0 * det_sum) - a1 / (4.0 * det1) - u_y * u_y / 4.0
+    g_c = c1 / (2.0 * det1) - csum / det_sum - u_x * u_y / 2.0
+    return u_x / 2.0, u_y / 2.0, g_a, g_b, g_c
 
 
 def _l1_chain_factor(p: GaussBox, q: GaussBox) -> float | None:

@@ -179,7 +179,7 @@ def test_regress_golden(tmp_path, capsys):
         outs.append(_cli(["regress", "--config", str(config), "--out", str(trajectory)], capsys))
         outs.append(trajectory.read_text(encoding="utf-8"))
     assert all('"aborted": null' in out for out in outs[::2])
-    assert _digest("\n".join(outs)) == "879b6dc8bf6d6e42"
+    assert _digest("\n".join(outs)) == "40742cdbab95435a"
 
 
 def test_regress_fit_bits_golden(tmp_path, capsys):
@@ -194,7 +194,7 @@ def test_regress_fit_bits_golden(tmp_path, capsys):
         rows = trajectory.read_text(encoding="utf-8").splitlines()
         outs.append("\n".join(row.rsplit(",", 1)[0] for row in rows))
     assert outs[1].startswith("step,loss,grad_norm,prob_iou\n")
-    assert _digest("\n".join(outs)) == "ea2fb2c857866e7e"
+    assert _digest("\n".join(outs)) == "c89ef64f9318687a"
 
 
 def _theta_wraps(traj) -> bool:
@@ -256,4 +256,4 @@ def test_regress_fit_branches_golden(tmp_path, capsys):
         outs.append(_cli(["regress", "--config", str(config), "--out", str(trajectory)], capsys))
         rows = trajectory.read_text(encoding="utf-8").splitlines()
         outs.append("\n".join(row.rsplit(",", 1)[0] for row in rows))
-    assert _digest("\n".join(outs)) == "b56c9641f6c5224b"
+    assert _digest("\n".join(outs)) == "2661d9d64e95483d"

@@ -1,4 +1,6 @@
 import math
+from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from gbbkit import (
     similarity,
     validate_gbb,
 )
+from gbbkit.gradients import _grad_terms
 
 
 def bd_of_hbb_vec(v, q):
@@ -81,11 +84,44 @@ def box_pairs(rng, n):
     return pairs + tiny
 
 
+def exact_grad_terms(x1, y1, a1, b1, c1, x2, y2, a2, b2, c2):
+    """_grad_terms in exact rational arithmetic on the same float inputs."""
+    x1, y1, a1, b1, c1, x2, y2, a2, b2, c2 = map(
+        Fraction, (x1, y1, a1, b1, c1, x2, y2, a2, b2, c2)
+    )
+    dx, dy = x1 - x2, y1 - y2
+    asum, bsum, csum = a1 + a2, b1 + b2, c1 + c2
+    det_sum = asum * bsum - csum * csum
+    det1 = a1 * b1 - c1 * c1
+    u_x = (bsum * dx - csum * dy) / det_sum
+    u_y = (asum * dy - csum * dx) / det_sum
+    return (
+        u_x / 2,
+        u_y / 2,
+        bsum / (2 * det_sum) - b1 / (4 * det1) - u_x * u_x / 4,
+        asum / (2 * det_sum) - a1 / (4 * det1) - u_y * u_y / 4,
+        c1 / (2 * det1) - csum / det_sum - u_x * u_y / 2,
+    )
+
+
+def test_grad_terms_accurate_per_component_on_box_pairs():
+    # A box's d/da and d/db can be many orders of magnitude below its other
+    # components; each must still be accurate relative to itself.
+    worst = 0.0
+    for p, q in box_pairs(np.random.default_rng(12), 500):
+        args = (*astuple(hbb_to_gbb(p)), *astuple(hbb_to_gbb(q)))
+        for got, want in zip(_grad_terms(*args), exact_grad_terms(*args)):
+            if want == 0:
+                assert got == 0.0
+            else:
+                worst = max(worst, float(abs(Fraction(got) - want) / abs(want)))
+    assert worst < 1e-11
+
+
 class TestBoxGradientMatchesClosedForm:
-    # The chain rule goes through the general form, whose cancelling dx**2
-    # terms in d/db leave rounding of the x-direction's size in d_h (and
-    # likewise for d_w), so agreement is measured against the gradient's
-    # largest component rather than each component alone.
+    # The hand-derived reference has terms of its own that cancel in d_w
+    # and d_h, so agreement is measured against the gradient's largest
+    # component rather than each component alone.
     @staticmethod
     def assert_close(got, want):
         atol = 1e-9 * max(np.max(np.abs(want)), 1.0)
