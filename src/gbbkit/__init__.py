@@ -47,7 +47,6 @@ from .raster import (
     iou_convex,
     iou_hbb,
     iou_raster,
-    mask_bc_raster,
 )
 from .regress import (
     FitStep,
@@ -90,8 +89,7 @@ __all__ = [
     # gradients
     "HbbGradient", "grad_l2_hbb", "grad_l1_hbb", "grad_general",
     # raster
-    "RasterGrid", "iou_raster", "iou_hbb", "iou_convex",
-    "iou_between", "mask_bc_raster",
+    "RasterGrid", "iou_raster", "iou_hbb", "iou_convex", "iou_between",
     # batch kernels
     "iou_ellipse_pairs",
     # regression harness

@@ -38,7 +38,9 @@ from .convert import (
 )
 from .metrics import similarity
 from .polygons import ellipse_intersection_area, is_simple, signed_area
-from .raster import iou_between, iou_raster
+# iou_raster has no caller here; perfbench's instrument test checks that
+# patching it rebinds the name in cli.
+from .raster import iou_between, iou_raster  # noqa: F401
 from .regress import FitTrajectory, LossSchedule, OptimizerConfig, fit_gbb
 from .types import Ellipse, GaussBox, Hbb, Obb, PolygonMask, require_valid_gbb
 
@@ -47,11 +49,8 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 # Cells along the larger extent at which perfbench's fidelity latency items
-# time iou_raster.  `fidelity` rasterizes only at an explicit --cell-size.
+# time iou_raster.  `fidelity` itself never rasterizes.
 FIDELITY_CELLS = 256
-
-# Fidelity-study representations, in CSV column order.
-_FIDELITY_REPS = ("hbb", "obb", "ellipse")
 
 _SCATTER_DIM_EPS = 1e-6
 
@@ -169,6 +168,17 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    """--n: an integer >= 1, checked before any work is done."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
+
+
 def _cell_size(text: str) -> float:
     """--cell-size: a positive finite float, checked before any input is read."""
     try:
@@ -245,10 +255,9 @@ def cmd_scatter(args) -> int:
     return EXIT_OK
 
 
-def _fidelity_ious(poly: PolygonMask, cell_size: float | None) -> tuple[float, float, float]:
-    """IoU of the polygon with its hbb, obb and moment-matched ellipse.
+def _fidelity_ious(poly: PolygonMask) -> tuple[float, float, float]:
+    """Exact IoU of the polygon with its hbb, obb and moment-matched ellipse.
 
-    Exact unless a cell size is given, which rasterizes all three at it.
     Both boxes contain the polygon by construction (tight bounds, and the
     minimum-area rectangle of its hull), so each box's exact IoU is the
     ratio of the smaller area to the larger.  The polygon's area is taken
@@ -257,8 +266,6 @@ def _fidelity_ious(poly: PolygonMask, cell_size: float | None) -> tuple[float, f
     """
     hbb, obb = mask_to_hbb(poly), mask_to_obb(poly)
     ellipse = gbb_to_ellipse(mask_to_gbb(poly))
-    if cell_size is not None:
-        return tuple(iou_raster(rep, poly, cell_size) for rep in (hbb, obb, ellipse))
     v = poly.vertices
     area = signed_area(v - v.min(axis=0))
     a, b = ellipse.semi_major, ellipse.semi_minor
@@ -288,21 +295,15 @@ def cmd_fidelity(args) -> int:
         print("error: no usable annotations", file=sys.stderr)
         return EXIT_RUNTIME
 
-    per_category: dict[str, dict[str, list[float]]] = {}
-    for rec in records:
-        acc = per_category.setdefault(rec.category, {name: [] for name in _FIDELITY_REPS})
-        for name, iou in zip(_FIDELITY_REPS, _fidelity_ious(rec.polygon, args.cell_size)):
-            acc[name].append(iou)
+    # One row of (hbb, obb, ellipse) IoUs per record, in CSV column order.
+    ious = np.array([_fidelity_ious(rec.polygon) for rec in records])
+    categories = np.array([rec.category for rec in records], dtype=object)
 
-    def median_row(category: str, acc: dict[str, list[float]]) -> list[str]:
-        medians = [_fmt(float(np.median(acc[name]))) for name in _FIDELITY_REPS]
-        return [category, *medians, str(len(acc["hbb"]))]
+    def median_row(category: str, part: np.ndarray) -> list[str]:
+        return [category, *(_fmt(m) for m in np.median(part, axis=0)), str(len(part))]
 
-    rows = [median_row(name, per_category[name]) for name in sorted(per_category)]
-    overall = {
-        name: [v for acc in per_category.values() for v in acc[name]] for name in _FIDELITY_REPS
-    }
-    rows.append(median_row("overall", overall))
+    rows = [median_row(name, ious[categories == name]) for name in sorted(set(categories))]
+    rows.append(median_row("overall", ious))
     _write_csv(
         args.out,
         ["category", "median_iou_hbb", "median_iou_obb", "median_iou_ellipse", "count"],
@@ -349,6 +350,9 @@ def cmd_regress(args) -> int:
         raise UsageError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict) or "target" not in cfg or "init" not in cfg:
         raise UsageError("config must be an object with 'target' and 'init' shapes")
+    unknown = set(cfg) - {"target", "init", "schedule", "optimizer"}
+    if unknown:
+        raise UsageError(f"config has unknown keys: {sorted(unknown)}")
 
     target = shape_to_gbb(parse_shape(cfg["target"]))
     init = shape_to_gbb(parse_shape(cfg["init"]))
@@ -397,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("scatter", help="random-box IoU vs ProbIoU scatter CSV")
-    p.add_argument("--n", type=int, default=100000, help="number of box pairs")
+    p.add_argument("--n", type=_positive_int, default=100000, help="number of box pairs")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--mode", choices=["gbb", "uniform_mask"], default="gbb")
     p.add_argument("--out", help="output CSV path (default stdout)")
@@ -412,13 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="default",
         help="synthetic corpus preset (used when --annotations is absent)",
     )
-    p.add_argument("--n", type=int, default=1000, help="synthetic shapes per category")
-    p.add_argument("--seed", type=int, default=7)
     p.add_argument(
-        "--cell-size",
-        type=_cell_size,
-        help="rasterize at this cell size instead of the exact overlap",
+        "--n", type=_positive_int, default=1000, help="synthetic shapes per category"
     )
+    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_fidelity)
 

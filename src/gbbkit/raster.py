@@ -70,7 +70,8 @@ def _region(shape) -> Ellipse | np.ndarray:
 def shape_bounds(shape: Shape | np.ndarray) -> tuple[float, float, float, float]:
     """Tight axis-aligned bounds (xmin, ymin, xmax, ymax) of a shape or vertex array."""
     if isinstance(shape, Hbb):
-        # Arithmetic, not corners: fidelity sizes a grid from an hbb per record.
+        # Arithmetic, not corners: perfbench's fidelity latency items size a
+        # grid from an hbb per record.
         hw, hh = shape.w / 2.0, shape.h / 2.0
         return shape.x0 - hw, shape.y0 - hh, shape.x0 + hw, shape.y0 + hh
     region = _region(shape)
@@ -256,16 +257,6 @@ def iou_between(a: Shape, b: Shape, cell_size: float | None = None) -> float:
     return iou_convex(_region(a), _region(b))
 
 
-def mask_bc_raster(m1: Shape, m2: Shape, cell_size: float | None = None) -> float:
-    """Rasterized uniform-mask Bhattacharyya coefficient.
-
-    Fallback for shapes without a polygon form (ellipses), which the exact
-    polygon clipper cannot handle.
-    """
-    count_a, count_b, inter = _occupancy_counts(m1, m2, cell_size)
-    return inter / math.sqrt(count_a * count_b)
-
-
 __all__ = [
     "DEFAULT_CELLS",
     "MAX_GRID_CELLS",
@@ -278,5 +269,4 @@ __all__ = [
     "iou_hbb",
     "iou_convex",
     "iou_between",
-    "mask_bc_raster",
 ]

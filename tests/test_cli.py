@@ -10,7 +10,7 @@ import pytest
 from gbbkit import cli, raster
 from gbbkit.annotations import SYNTHETIC_PRESETS, generate_synthetic
 from gbbkit.cli import main
-from gbbkit.convert import gbb_to_ellipse, mask_to_gbb, mask_to_hbb, mask_to_obb
+from gbbkit.convert import mask_to_hbb, mask_to_obb
 from gbbkit.polygons import signed_area
 
 HBB_JSON = json.dumps({"type": "hbb", "x": 3, "y": 4, "w": 6, "h": 12})
@@ -314,7 +314,7 @@ class TestFidelity:
 
     def test_exact_route_never_rasterizes(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("fidelity rasterized without --cell-size")
+            raise AssertionError("fidelity rasterized")
 
         monkeypatch.setattr(cli, "iou_raster", refuse)
         monkeypatch.setattr(raster, "_occupancy_counts", refuse)
@@ -322,23 +322,6 @@ class TestFidelity:
         args = ["fidelity", "--synthetic", "default", "--n", "5", "--seed", "2"]
         assert run_main(args + ["--out", str(out)], capsys)[0] == 0
         assert [r["count"] for r in read_csv(out)] == ["5", "5", "5", "15"]
-
-    def test_cell_size_gives_raster_medians(self, tmp_path, capsys):
-        cell = 0.05
-        out = tmp_path / "f.csv"
-        args = ["fidelity", "--synthetic", "default", "--n", "6", "--seed", "4"]
-        assert run_main(args + ["--cell-size", str(cell), "--out", str(out)], capsys)[0] == 0
-        medians = {}
-        for rec in generate_synthetic("default", 6, 4):
-            poly = rec.polygon
-            reps = (mask_to_hbb(poly), mask_to_obb(poly), gbb_to_ellipse(mask_to_gbb(poly)))
-            columns = medians.setdefault(rec.category, ([], [], []))
-            for column, rep in zip(columns, reps):
-                column.append(raster.iou_raster(rep, poly, cell))
-        for row in read_csv(out)[:-1]:
-            want = [repr(float(np.median(column))) for column in medians[row["category"]]]
-            got = [row[f"median_iou_{name}"] for name in ("hbb", "obb", "ellipse")]
-            assert got == want
 
     def test_boxes_contain_their_polygon(self):
         # The exact route scores each box by |P| / (w h), which holds because
@@ -349,7 +332,7 @@ class TestFidelity:
                 area = signed_area(v - v.min(axis=0))
                 tol = 1e-12 * float(np.max(np.abs(v)))
                 boxes = (mask_to_hbb(poly), mask_to_obb(poly))
-                for box, exact in zip(boxes, cli._fidelity_ious(poly, None)):
+                for box, exact in zip(boxes, cli._fidelity_ious(poly)):
                     theta = getattr(box, "theta", 0.0)
                     rel = v - [box.x0, box.y0]
                     along = rel @ [math.cos(theta), math.sin(theta)]
@@ -359,6 +342,12 @@ class TestFidelity:
                     iou = raster.iou_between(box, poly)
                     assert abs(area / (box.w * box.h) - iou) <= 1e-12
                     assert abs(exact - iou) <= 1e-12
+
+    def test_cell_size_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fidelity", "--n", "2", "--cell-size", "0.05"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cell-size" in capsys.readouterr().err
 
     def test_seeded_fidelity_is_byte_identical(self, tmp_path, capsys):
         out1, out2 = tmp_path / "f1.csv", tmp_path / "f2.csv"
@@ -449,6 +438,23 @@ class TestRegress:
         assert code == 2
         assert "momentum" in err
 
+    def test_unknown_top_level_key_exit_2(self, tmp_path, capsys):
+        # A misspelled section must not fall back to the default fit.
+        cfg = self._write_config(
+            tmp_path,
+            {
+                "target": {"type": "hbb", "x": 0, "y": 0, "w": 1, "h": 1},
+                "init": {"type": "hbb", "x": 1, "y": 0, "w": 1, "h": 1},
+                "optimiser": {"step_size": 0.02, "parametrization": "hbb4"},
+                "Schedule": {},
+            },
+        )
+        out = tmp_path / "t.csv"
+        code, stdout, err = run_main(["regress", "--config", cfg, "--out", str(out)], capsys)
+        assert code == 2
+        assert err == "error: config has unknown keys: ['Schedule', 'optimiser']\n"
+        assert stdout == "" and not out.exists()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "section, values, message",
@@ -476,17 +482,27 @@ class TestRegress:
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
-@pytest.mark.parametrize("command", ["score", "fidelity"])
+@pytest.mark.parametrize("command", ["score"])
 def test_bad_cell_size_exits_2_before_reading_input(command, value, tmp_path, capsys):
     # The input path does not exist: reading it would exit 1 instead.
     missing = str(tmp_path / "missing.json")
-    argv = ["score", missing] if command == "score" else ["fidelity", "--annotations", missing]
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--cell-size", value])
+        main([command, missing, "--cell-size", value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument --cell-size: must be a positive finite number" in err
     assert "skipped" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1.5"])
+@pytest.mark.parametrize("command", ["scatter", "fidelity"])
+def test_bad_n_exits_2_before_any_work(command, value, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --n: must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_console_entry_point_runs():

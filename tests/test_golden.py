@@ -79,9 +79,8 @@ def _mixed_pairs(seed: int = 11, n: int = 24) -> list[str]:
     return lines
 
 
-# The medians of exact overlaps; `fidelity` rasterizes only at an explicit
-# --cell-size.  The ids leave the digests out, so re-recording one keeps the
-# test's name.
+# The medians of exact overlaps.  The ids leave the digests out, so
+# re-recording one keeps the test's name.
 @pytest.mark.parametrize(
     "preset, digest",
     [("default", "ce66407d5288a9ba"), ("ellipses", "da45e64470bbc30b")],
@@ -95,14 +94,13 @@ def test_fidelity_synthetic_golden(preset, digest, capsys):
 def test_fidelity_exact_per_record_iou_golden():
     # Every exact IoU the fidelity study takes a median of, not just the medians.
     records = generate_synthetic("default", 12, 3)
-    values = [repr(v) for rec in records for v in _fidelity_ious(rec.polygon, None)]
+    values = [repr(v) for rec in records for v in _fidelity_ious(rec.polygon)]
     assert _digest("\n".join(values)) == "a231cb182ea9036a"
 
 
 def test_fidelity_per_record_iou_golden():
     # Every record's raster IoU at 256 cells along the larger extent, the
-    # resolution perfbench's fidelity latency items time.  iou_raster still
-    # serves `fidelity --cell-size`.
+    # resolution perfbench's fidelity latency items time.
     values = []
     for rec in generate_synthetic("default", 12, 3):
         poly = rec.polygon

@@ -20,7 +20,6 @@ from gbbkit.raster import (
     iou_convex,
     iou_hbb,
     iou_raster,
-    mask_bc_raster,
     shared_grid,
 )
 
@@ -363,22 +362,8 @@ class TestIouBetween:
         assert abs(inter - cells * cell**2) <= bound
 
 
-class TestMaskBcRaster:
-    def test_identical_is_one(self):
-        sq = PolygonMask(UNIT_SQUARE)
-        assert mask_bc_raster(sq, sq, 0.01) == 1.0
-
-    def test_matches_exact_on_rect_overlap(self):
-        from gbbkit import mask_bc
-
-        a = PolygonMask(UNIT_SQUARE)
-        b = PolygonMask(UNIT_SQUARE + [0.5, 0.0])
-        assert mask_bc_raster(a, b, 0.002) == pytest.approx(mask_bc(a, b), abs=0.01)
-
-
-# Property tests of the occupancy-count core shared by iou_raster and
-# mask_bc_raster.  Every shape spans several cells at CELL, so none
-# rasterizes to zero cells.
+# Property tests of the occupancy-count core behind iou_raster.  Every shape
+# spans several cells at CELL, so none rasterizes to zero cells.
 CELL = 0.05
 _coord = st.floats(-2.0, 2.0)
 _size = st.floats(0.3, 3.0)
@@ -410,6 +395,11 @@ _shapes = st.one_of(
     _ellipses(),
     _polygons(),
 )
+_polygonal_shapes = st.one_of(
+    st.builds(Hbb, _coord, _coord, _size, _size),
+    st.builds(Obb, _coord, _coord, _size, _size, _angle),
+    _polygons(),
+)
 _property = settings(max_examples=100, derandomize=True, deadline=None)
 
 
@@ -420,10 +410,11 @@ def test_iou_raster_symmetric_property(a, b):
 
 
 @_property
-@given(_shapes, _shapes)
-def test_iou_raster_bounded_by_mask_bc_property(a, b):
-    iou = iou_raster(a, b, CELL)
-    assert 0.0 <= iou <= mask_bc_raster(a, b, CELL) <= 1.0
+@given(_polygonal_shapes, _polygonal_shapes)
+def test_exact_iou_bounded_by_mask_bc_property(a, b):
+    # BC >= IoU because sqrt(|A| |B|) <= |A u B|; both sides exact.
+    iou = iou_between(a, b)
+    assert 0.0 <= iou <= mask_bc(to_polygon(a), to_polygon(b)) + 1e-12 <= 1.0 + 1e-12
 
 
 # Exact agreement with an independent dense reference: the crossing-number
@@ -479,7 +470,6 @@ def _assert_matches_dense(a, b, cell):
             iou_raster(a, b, cell)
         return
     assert iou_raster(a, b, cell) == inter / (count_a + count_b - inter)
-    assert mask_bc_raster(a, b, cell) == inter / math.sqrt(count_a * count_b)
     np.testing.assert_array_equal(_run_bits(a, grid), bits_a)
 
 
