@@ -84,11 +84,9 @@ def box_pairs(rng, n):
     return pairs + tiny
 
 
-def exact_grad_terms(x1, y1, a1, b1, c1, x2, y2, a2, b2, c2):
+def exact_grad_terms(*args):
     """_grad_terms in exact rational arithmetic on the same float inputs."""
-    x1, y1, a1, b1, c1, x2, y2, a2, b2, c2 = map(
-        Fraction, (x1, y1, a1, b1, c1, x2, y2, a2, b2, c2)
-    )
+    x1, y1, a1, b1, c1, x2, y2, a2, b2, c2 = map(Fraction, args)
     dx, dy = x1 - x2, y1 - y2
     asum, bsum, csum = a1 + a2, b1 + b2, c1 + c2
     det_sum = asum * bsum - csum * csum
