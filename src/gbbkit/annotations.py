@@ -24,6 +24,10 @@ logger = logging.getLogger(__name__)
 
 SYNTHETIC_PRESETS = ("default", "ellipses", "axis-rect")
 
+# The name of the fidelity table's row over all categories, which no
+# annotation category may take.
+AGGREGATE_CATEGORY = "overall"
+
 _ELLIPSE_SEGMENTS = 64
 _CAP_SEGMENTS = 16
 
@@ -46,9 +50,29 @@ class IngestResult:
     skipped_malformed: int = 0
 
 
+def _is_number(value) -> bool:
+    """True for an int or a float (a numpy float64 too), but not a bool.
+
+    The test for a JSON number, as opposed to true, false or a string: a
+    JSON true or false loads as a bool, which is an int.
+    """
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _all_numbers(values: list) -> bool:
+    """_is_number of every value, tested once per distinct type.
+
+    The test depends on the type alone, so on a long coordinate list this
+    costs a fraction of a test per value.
+    """
+    return all(map(_is_number, dict(zip(map(type, values), values)).values()))
+
+
 def _polygon_from_flat(coords) -> PolygonMask:
+    if not isinstance(coords, list) or not _all_numbers(coords):
+        raise ValueError("segmentation coordinates must be JSON numbers")
     pts = np.asarray(coords, dtype=float)
-    if pts.ndim != 1 or len(pts) < 6 or len(pts) % 2 != 0 or not np.all(np.isfinite(pts)):
+    if len(pts) < 6 or len(pts) % 2 != 0 or not np.all(np.isfinite(pts)):
         raise ValueError("segmentation must be a flat list of >= 3 finite coordinate pairs")
     verts = pts.reshape(-1, 2)
     # Normalize orientation; image-coordinate polygons usually come clockwise.
@@ -65,8 +89,9 @@ def ingest_annotations(path: str) -> IngestResult:
     Only images[].id, categories[].id/name, and annotations[] with
     image_id, category_id, and a single-polygon segmentation are read.
     Raises OSError when the file cannot be read and ValueError when it is
-    not valid JSON of the expected shape; individually malformed
-    annotations are skipped and counted instead.
+    not valid JSON of the expected shape, or when an annotation's category
+    is named AGGREGATE_CATEGORY; individually malformed annotations are
+    skipped and counted instead.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -98,10 +123,14 @@ def ingest_annotations(path: str) -> IngestResult:
             continue
         try:
             polygon = _polygon_from_flat(seg[0])
-        except (ValueError, TypeError):
+        except (ValueError, TypeError, OverflowError):
             skipped_malformed += 1
             continue
         category = categories.get(ann.get("category_id"), str(ann.get("category_id")))
+        if category == AGGREGATE_CATEGORY:
+            raise ValueError(
+                f"{path}: category name {AGGREGATE_CATEGORY!r} is reserved for the aggregate row"
+            )
         records.append(
             AnnotationRecord(
                 image_id=str(ann.get("image_id", "")), category=category, polygon=polygon
@@ -207,6 +236,7 @@ def generate_synthetic(
 
 __all__ = [
     "SYNTHETIC_PRESETS",
+    "AGGREGATE_CATEGORY",
     "AnnotationRecord",
     "IngestResult",
     "ingest_annotations",

@@ -24,8 +24,16 @@ from dataclasses import astuple
 import numpy as np
 
 from . import batch
-from .annotations import SYNTHETIC_PRESETS, generate_synthetic, ingest_annotations
+from .annotations import (
+    AGGREGATE_CATEGORY,
+    SYNTHETIC_PRESETS,
+    _all_numbers,
+    _is_number,
+    generate_synthetic,
+    ingest_annotations,
+)
 from .convert import (
+    _moments_to_gbb,
     gbb_to_ellipse,
     mask_to_gbb,
     mask_to_hbb,
@@ -37,7 +45,13 @@ from .convert import (
     to_polygon,
 )
 from .metrics import similarity
-from .polygons import ellipse_intersection_area, is_simple, signed_area
+from .polygons import (
+    ellipse_intersection_area,
+    is_simple,
+    min_area_rect,
+    polygon_moments,
+    signed_area,
+)
 # iou_raster has no caller here; perfbench's instrument test checks that
 # patching it rebinds the name in cli.
 from .raster import iou_between, iou_raster  # noqa: F401
@@ -52,6 +66,10 @@ EXIT_USAGE = 2
 # time iou_raster.  `fidelity` itself never rasterizes.
 FIDELITY_CELLS = 256
 
+# Most vertices _fidelity_ious stacks into one block.  Each of the block's
+# few dozen temporaries then holds a couple of KB, whatever the corpus size.
+_FIDELITY_BLOCK_VERTICES = 256
+
 _SCATTER_DIM_EPS = 1e-6
 
 
@@ -60,13 +78,29 @@ class UsageError(ValueError):
 
 
 def _num(obj, key) -> float:
+    value = obj.get(key)
+    if not _is_number(value):
+        raise UsageError(f"shape field {key!r} missing or not a number")
     try:
-        v = float(obj[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"shape field {key!r} missing or not a number") from exc
+        v = float(value)
+    except OverflowError as exc:
+        raise UsageError(f"shape field {key!r} is an integer beyond the float range") from exc
     if not math.isfinite(v):
         raise UsageError(f"shape field {key!r} must be finite, got {v}")
     return v
+
+
+def _vertices(verts) -> np.ndarray:
+    """The (n, 2) array of a JSON list of [x, y] number pairs."""
+    if not (isinstance(verts, list) and all(isinstance(p, list) and len(p) == 2 for p in verts)):
+        raise UsageError("polygon needs a 'vertices' list of [x, y] pairs")
+    if not _all_numbers([c for pair in verts for c in pair]):
+        i, j = next((i, j) for i, p in enumerate(verts) for j in (0, 1) if not _is_number(p[j]))
+        raise UsageError(f"shape field 'vertices[{i}][{j}]' is not a number")
+    try:
+        return np.array(verts, dtype=float)
+    except OverflowError as exc:
+        raise UsageError("polygon vertices hold an integer beyond the float range") from exc
 
 
 # JSON keys of each flat shape type, in its dataclass field order.
@@ -85,10 +119,7 @@ def parse_shape(obj):
     kind = obj["type"]
     try:
         if kind == "polygon":
-            verts = obj.get("vertices")
-            if not isinstance(verts, list):
-                raise UsageError("polygon needs a 'vertices' list of [x, y] pairs")
-            poly = PolygonMask(np.asarray(verts, dtype=float))
+            poly = PolygonMask(_vertices(obj.get("vertices")))
             if not is_simple(poly.vertices):
                 raise UsageError("polygon edges cross; vertices must outline a simple polygon")
             return poly
@@ -255,24 +286,69 @@ def cmd_scatter(args) -> int:
     return EXIT_OK
 
 
-def _fidelity_ious(poly: PolygonMask) -> tuple[float, float, float]:
-    """Exact IoU of the polygon with its hbb, obb and moment-matched ellipse.
+def _fidelity_ious(polys: list[PolygonMask]) -> np.ndarray:
+    """Exact IoU of each polygon with its hbb, obb and moment-matched ellipse.
 
-    Both boxes contain the polygon by construction (tight bounds, and the
+    Returns an (n, 3) array, one (hbb, obb, ellipse) row per polygon.  Both
+    boxes contain the polygon by construction (tight bounds, and the
     minimum-area rectangle of its hull), so each box's exact IoU is the
     ratio of the smaller area to the larger.  The polygon's area is taken
     relative to its least corner, so an axis-aligned rectangle's equals its
     hbb's w * h exactly; in absolute coordinates the shoelace rounds it.
+
+    Polygons with one vertex count are stacked into (k, n, 2) blocks of at
+    most _FIDELITY_BLOCK_VERTICES vertices, and each block runs the bounds,
+    the area, the moments and the ellipse overlap once.  A block of one
+    polygon (a vertex count no other polygon has, a group's last one left
+    over, or more than half the budget) runs the one-polygon kernels
+    instead, which cost less than a stack of one.  Every row equals what
+    the polygon gets on its own, to the bit.
     """
+    ious = np.empty((len(polys), 3))
+    by_count: dict[int, list[int]] = {}
+    for i, poly in enumerate(polys):
+        by_count.setdefault(len(poly.vertices), []).append(i)
+    for n, members in by_count.items():
+        step = max(1, _FIDELITY_BLOCK_VERTICES // n)
+        for start in range(0, len(members), step):
+            rows = members[start : start + step]
+            if len(rows) == 1:
+                ious[rows[0]] = _fidelity_row(polys[rows[0]])
+            else:
+                ious[rows] = _fidelity_block(np.array([polys[i].vertices for i in rows]))
+    return ious
+
+
+def _fidelity_row(poly: PolygonMask) -> tuple[float, float, float]:
+    """_fidelity_ious of one polygon, on the one-polygon kernels."""
     hbb, obb = mask_to_hbb(poly), mask_to_obb(poly)
     ellipse = gbb_to_ellipse(mask_to_gbb(poly))
     v = poly.vertices
     area = signed_area(v - v.min(axis=0))
     a, b = ellipse.semi_major, ellipse.semi_minor
     inter = ellipse_intersection_area(v, ellipse.x0, ellipse.y0, a, b, ellipse.theta)
-    ellipse_area = math.pi * a * b
     box_ious = (min(area, box.w * box.h) / max(area, box.w * box.h) for box in (hbb, obb))
-    return (*box_ious, inter / (area + ellipse_area - inter))
+    return (*box_ious, inter / (area + math.pi * a * b - inter))
+
+
+def _fidelity_block(v: np.ndarray) -> np.ndarray:
+    """_fidelity_ious of a (k, n, 2) stack of k > 1 polygons, as a (k, 3) array."""
+    lo = v.min(axis=1)
+    hbb = v.max(axis=1) - lo
+    area = signed_area(v - lo[:, None, :])
+    # The hull and calipers stay one polygon at a time.
+    obb = [w * h for _, w, h, _ in map(min_area_rect, v)]
+    _, mu, cov = polygon_moments(v)
+    ellipses = [gbb_to_ellipse(_moments_to_gbb(m, c)) for m, c in zip(mu, cov)]
+    x0, y0, a, b, theta = np.array(
+        [(e.x0, e.y0, e.semi_major, e.semi_minor, e.theta) for e in ellipses]
+    ).T
+    inter = ellipse_intersection_area(v, x0, y0, a, b, theta)
+    boxes = np.column_stack((hbb[:, 0] * hbb[:, 1], obb))
+    ious = np.empty((len(v), 3))
+    ious[:, :2] = np.minimum(area[:, None], boxes) / np.maximum(area[:, None], boxes)
+    ious[:, 2] = inter / (area + math.pi * a * b - inter)
+    return ious
 
 
 def cmd_fidelity(args) -> int:
@@ -296,14 +372,14 @@ def cmd_fidelity(args) -> int:
         return EXIT_RUNTIME
 
     # One row of (hbb, obb, ellipse) IoUs per record, in CSV column order.
-    ious = np.array([_fidelity_ious(rec.polygon) for rec in records])
+    ious = _fidelity_ious([rec.polygon for rec in records])
     categories = np.array([rec.category for rec in records], dtype=object)
 
     def median_row(category: str, part: np.ndarray) -> list[str]:
         return [category, *(_fmt(m) for m in np.median(part, axis=0)), str(len(part))]
 
     rows = [median_row(name, ious[categories == name]) for name in sorted(set(categories))]
-    rows.append(median_row("overall", ious))
+    rows.append(median_row(AGGREGATE_CATEGORY, ious))
     _write_csv(
         args.out,
         ["category", "median_iou_hbb", "median_iou_obb", "median_iou_ellipse", "count"],

@@ -91,12 +91,16 @@ def gbb_to_obb(g: GaussBox) -> Obb:
     return Obb(g.x0, g.y0, math.sqrt(12.0 * ac.a_prime), math.sqrt(12.0 * ac.b_prime), ac.theta)
 
 
+def _moments_to_gbb(centroid: np.ndarray, cov: np.ndarray) -> GaussBox:
+    """Gaussian of a (2,) mean and a (2, 2) covariance, checked positive-definite."""
+    (x0, y0), ((a, c), (_, b)) = centroid.tolist(), cov.tolist()
+    return require_valid_gbb(GaussBox(x0, y0, a, b, c))
+
+
 def mask_to_gbb(mask: PolygonMask) -> GaussBox:
     """Polygon to the Gaussian matching its exact interior moments."""
     _, mu, cov = polygon_moments(mask.vertices)
-    return require_valid_gbb(
-        GaussBox(float(mu[0]), float(mu[1]), float(cov[0, 0]), float(cov[1, 1]), float(cov[0, 1]))
-    )
+    return _moments_to_gbb(mu, cov)
 
 
 def mask_to_hbb(mask: PolygonMask) -> Hbb:

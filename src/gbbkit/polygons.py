@@ -2,6 +2,11 @@
 
 All polygons are (n, 2) float arrays.  Functions that consume a
 counter-clockwise orientation say so; nothing here mutates its inputs.
+signed_area, polygon_moments and ellipse_intersection_area also take an
+(..., n, 2) stack of polygons with one vertex count and return one result
+per polygon.  A stack row is summed along its vertex axis as a single
+polygon is, so each of its results equals the one-polygon call to the bit;
+a stack padded to a common length would not.
 """
 
 from __future__ import annotations
@@ -16,24 +21,33 @@ _CONVEX_REL_TOL = 1e-12
 _SIMPLE_CHUNK = 1 << 16
 
 
-def _next(a: np.ndarray) -> np.ndarray:
-    """Each row's successor around the closed boundary: a cyclic shift by one.
+def _next(a: np.ndarray, axis: int = -2) -> np.ndarray:
+    """Each vertex's successor around the closed boundary of an (..., n, 2) array.
 
-    Slices rather than np.roll, which costs several times a ufunc call on the
-    short arrays here.
+    A cyclic shift by one along the vertex axis (-2), or along the last
+    axis (-1) of an array of one value per vertex.  Slices rather than
+    np.roll, which costs several times a ufunc call on the short arrays here.
     """
-    return np.concatenate((a[1:], a[:1]))
+    if axis == -1:
+        return np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
+    return np.concatenate((a[..., 1:, :], a[..., :1, :]), axis=-2)
 
 
-def signed_area(vertices: np.ndarray) -> float:
-    """Shoelace signed area; positive for counter-clockwise orientation."""
+def signed_area(vertices: np.ndarray) -> float | np.ndarray:
+    """Shoelace signed area; positive for counter-clockwise orientation.
+
+    A float for one polygon, an array of areas for a stack of them.
+    """
     v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
+    x, y = v[..., 0], v[..., 1]
     v1 = _next(v)
-    return 0.5 * float(np.sum(x * v1[:, 1] - v1[:, 0] * y))
+    twice = np.sum(x * v1[..., 1] - v1[..., 0] * y, axis=-1)
+    return 0.5 * (float(twice) if twice.ndim == 0 else twice)
 
 
-def polygon_moments(vertices: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+def polygon_moments(
+    vertices: np.ndarray,
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """Area, centroid, and central second-moment matrix of a polygon interior.
 
     Closed-form edge sums (Green's theorem applied to the uniform density),
@@ -42,29 +56,43 @@ def polygon_moments(vertices: np.ndarray) -> tuple[float, np.ndarray, np.ndarray
 
     Returns:
         (area, centroid (2,), covariance (2, 2)) of the uniform distribution
-        over the polygon interior.
+        over the polygon interior; for an (..., n, 2) stack, areas (...,),
+        centroids (..., 2) and covariances (..., 2, 2).
     """
     v = np.asarray(vertices, dtype=float)
     v1 = _next(v)
-    x0, y0, x1, y1 = v[:, 0], v[:, 1], v1[:, 0], v1[:, 1]
+    x0, y0, x1, y1 = v[..., 0], v[..., 1], v1[..., 0], v1[..., 1]
     cross = x0 * y1 - x1 * y0
-
-    area = 0.5 * float(np.sum(cross))
-    if area <= 0:
-        raise ValueError(f"polygon must be counter-clockwise with positive area, got {area}")
-
-    cx = float(np.sum((x0 + x1) * cross)) / (6.0 * area)
-    cy = float(np.sum((y0 + y1) * cross)) / (6.0 * area)
-
-    # Second moments about the origin, then shift to the centroid.
-    exx = float(np.sum((x0 * x0 + x0 * x1 + x1 * x1) * cross)) / (12.0 * area)
-    eyy = float(np.sum((y0 * y0 + y0 * y1 + y1 * y1) * cross)) / (12.0 * area)
-    exy = float(np.sum((x0 * y1 + 2.0 * x0 * y0 + 2.0 * x1 * y1 + x1 * y0) * cross)) / (
-        24.0 * area
+    # Twice the area, then the first and second moments about the origin
+    # times 6, 12 and 24 times the area: one sum along the edge axis.
+    terms = (
+        cross,
+        (x0 + x1) * cross,
+        (y0 + y1) * cross,
+        (x0 * x0 + x0 * x1 + x1 * x1) * cross,
+        (y0 * y0 + y0 * y1 + y1 * y1) * cross,
+        (x0 * y1 + 2.0 * x0 * y0 + 2.0 * x1 * y1 + x1 * y0) * cross,
     )
+    sums = np.sum(np.array(terms), axis=-1)
+    stack = sums.ndim > 1
+    twice, sx, sy, sxx, syy, sxy = sums if stack else sums.tolist()
 
+    area = 0.5 * twice
+    if (area <= 0).any() if stack else area <= 0:
+        raise ValueError(f"polygon must be counter-clockwise with positive area, got {np.min(area)}")
+    cx = sx / (6.0 * area)
+    cy = sy / (6.0 * area)
+    # Shift the second moments to the centroid.
+    exx = sxx / (12.0 * area)
+    eyy = syy / (12.0 * area)
+    exy = sxy / (24.0 * area)
+
+    centroid = np.array([cx, cy])
     cov = np.array([[exx - cx * cx, exy - cx * cy], [exy - cx * cy, eyy - cy * cy]])
-    return area, np.array([cx, cy]), cov
+    if stack:  # move the coordinate axes behind the stack's (np.moveaxis costs more)
+        centroid = centroid.transpose(*range(1, centroid.ndim), 0)
+        cov = cov.transpose(*range(2, cov.ndim), 0, 1)
+    return area, centroid, cov
 
 
 def convex_hull(points: np.ndarray) -> np.ndarray:
@@ -310,12 +338,12 @@ def intersection_area(poly_a: np.ndarray, poly_b: np.ndarray) -> float:
 
 def ellipse_intersection_area(
     vertices: np.ndarray,
-    x0: float,
-    y0: float,
-    semi_major: float,
-    semi_minor: float,
-    theta: float,
-) -> float:
+    x0: float | np.ndarray,
+    y0: float | np.ndarray,
+    semi_major: float | np.ndarray,
+    semi_minor: float | np.ndarray,
+    theta: float | np.ndarray,
+) -> float | np.ndarray:
     """Exact area of a simple CCW polygon inside an ellipse, vectorized over edges.
 
     The ellipse has center (x0, y0), semi-axes semi_major along theta and
@@ -331,13 +359,29 @@ def ellipse_intersection_area(
     min(|P|, pi)] in the disk frame, where rounding could leave it a few ulp
     outside.  batch.iou_ellipse_pairs sums the same fan over the arcs of a
     second ellipse in place of the edges.
+
+    For an (..., n, 2) stack of polygons the five ellipse parameters are
+    arrays of the stack's leading shape, one ellipse per polygon, and the
+    result is an array of areas.
     """
     v = np.asarray(vertices, dtype=float)
-    c, s = math.cos(theta), math.sin(theta)
-    dx, dy = v[:, 0] - x0, v[:, 1] - y0
+    if v.ndim > 2:
+        # One ellipse per polygon, as columns against the edge axis.  math's
+        # cos and sin, not numpy's, which may differ from them in the last bit.
+        theta = np.asarray(theta, dtype=float)
+        c, s = (
+            np.array([f(t) for t in theta.ravel().tolist()]).reshape(theta.shape + (1,))
+            for f in (math.cos, math.sin)
+        )
+        x0, y0, semi_major, semi_minor = (
+            np.asarray(p, dtype=float)[..., None] for p in (x0, y0, semi_major, semi_minor)
+        )
+    else:
+        c, s = math.cos(theta), math.sin(theta)
+    dx, dy = v[..., 0] - x0, v[..., 1] - y0
     u = (dx * c + dy * s) / semi_major
     w = (dy * c - dx * s) / semi_minor
-    u1, w1 = _next(u), _next(w)
+    u1, w1 = _next(u, -1), _next(w, -1)
     du, dw = u1 - u, w1 - w
     qa = du * du + dw * dw
     qb = u * du + w * dw
@@ -354,9 +398,17 @@ def ellipse_intersection_area(
         + (ui * wo - wi * uo)
         + np.arctan2(uo * w1 - wo * u1, uo * u1 + wo * w1)
     )
-    inside = 0.5 * float(np.sum(twice))
-    polygon = 0.5 * float(np.sum(u * w1 - u1 * w))
-    return max(0.0, min(inside, polygon, math.pi)) * semi_major * semi_minor
+    sums = 0.5 * np.sum(np.array((twice, u * w1 - u1 * w)), axis=-1)
+    if v.ndim == 2:
+        inside, polygon = sums.tolist()
+        return max(0.0, min(inside, polygon, math.pi)) * semi_major * semi_minor
+    inside, polygon = sums
+    # Python's min and max, elementwise: of equal values the first is kept,
+    # so the sign of a zero comes out as in the one-polygon call.
+    clamped = np.where(polygon < inside, polygon, inside)
+    clamped = np.where(math.pi < clamped, math.pi, clamped)
+    clamped = np.where(clamped > 0.0, clamped, 0.0)
+    return clamped * semi_major[..., 0] * semi_minor[..., 0]
 
 
 def points_in_polygon(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:

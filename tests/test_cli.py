@@ -6,12 +6,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbbkit import cli, raster
 from gbbkit.annotations import SYNTHETIC_PRESETS, generate_synthetic
 from gbbkit.cli import main
-from gbbkit.convert import mask_to_hbb, mask_to_obb
-from gbbkit.polygons import signed_area
+from gbbkit.convert import gbb_to_ellipse, mask_to_gbb, mask_to_hbb, mask_to_obb
+from gbbkit.polygons import convex_hull, ellipse_intersection_area, signed_area
+from gbbkit.types import PolygonMask
 
 HBB_JSON = json.dumps({"type": "hbb", "x": 3, "y": 4, "w": 6, "h": 12})
 # Two triangles joined at a crossing, the right one larger, so the signed
@@ -60,6 +63,41 @@ class TestConvert:
         code, _, err = run_main(["convert", shape, "obb"], capsys)
         assert code == 2
         assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "shape, field",
+        [
+            ({"type": "hbb", "x": True, "y": 2, "w": 1, "h": 1}, "'x'"),
+            ({"type": "hbb", "x": 1, "y": "2", "w": 1, "h": 1}, "'y'"),
+            ({"type": "polygon", "vertices": [[0, 0], [4, 0], ["1", False]]}, "'vertices[2][0]'"),
+            ({"type": "polygon", "vertices": [[0, 0], [4, 0], [1, False]]}, "'vertices[2][1]'"),
+        ],
+        ids=["bool-field", "string-field", "string-vertex", "bool-vertex"],
+    )
+    def test_non_number_shape_field_exits_2(self, shape, field, capsys):
+        code, out, err = run_main(["convert", json.dumps(shape), "gbb"], capsys)
+        assert (code, out) == (2, "")
+        assert field in err
+
+    def test_numpy_floats_parse_as_numbers(self):
+        # In-process callers (perfbench among them) build shapes from numpy values.
+        shape = cli.parse_shape({"type": "hbb", "x": np.float64(1.5), "y": 2, "w": 1.0, "h": 3})
+        assert shape.x0 == 1.5
+        poly = cli.parse_shape({"type": "polygon", "vertices": [[0, 0], [np.float64(4), 0], [0, 3]]})
+        assert poly.vertices[1, 0] == 4.0
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            {"type": "hbb", "x": 10**400, "y": 0, "w": 1, "h": 1},
+            {"type": "polygon", "vertices": [[0, 0], [4, 0], [0, 10**400]]},
+        ],
+        ids=["field", "vertex"],
+    )
+    def test_integer_beyond_float_range_exits_2(self, shape, capsys):
+        code, out, err = run_main(["convert", json.dumps(shape), "gbb"], capsys)
+        assert (code, out) == (2, "")
+        assert "beyond the float range" in err
 
     def test_self_intersecting_polygon_exits_2(self, capsys):
         code, out, err = run_main(["convert", json.dumps(BOW_TIE), "obb"], capsys)
@@ -294,6 +332,45 @@ class TestFidelity:
         rows = {r["category"]: r for r in read_csv(out)}
         assert rows["tri"]["count"] == "1"
 
+    def test_non_number_coordinates_count_as_malformed(self, tmp_path, capsys):
+        doc = {
+            "images": [{"id": 1}],
+            "categories": [{"id": 5, "name": "tri"}],
+            "annotations": [
+                {"image_id": 1, "category_id": 5, "segmentation": [[0, 0, 4, 0, 0, 3]]},
+                {"image_id": 1, "category_id": 5, "segmentation": [[0, 0, "4", 0, 0, 3]]},
+                {"image_id": 1, "category_id": 5, "segmentation": [[0, 0, 4, 0, True, 3]]},
+            ],
+        }
+        path = tmp_path / "coco.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "f.csv"
+        code, _, err = run_main(
+            ["fidelity", "--annotations", str(path), "--out", str(out)], capsys
+        )
+        assert code == 0
+        assert "skipped 0 multi-part and 2 malformed" in err
+        assert {r["category"]: r["count"] for r in read_csv(out)} == {"tri": "1", "overall": "1"}
+
+    def test_category_named_overall_exits_2(self, tmp_path, capsys):
+        doc = {
+            "images": [{"id": 1}],
+            "categories": [{"id": 1, "name": "overall"}, {"id": 2, "name": "tri"}],
+            "annotations": [
+                {"image_id": 1, "category_id": 1, "segmentation": [[0, 0, 4, 0, 0, 3]]},
+                {"image_id": 1, "category_id": 2, "segmentation": [[0, 0, 2, 0, 0, 5]]},
+            ],
+        }
+        path = tmp_path / "coco.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "f.csv"
+        code, _, err = run_main(
+            ["fidelity", "--annotations", str(path), "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert "category name 'overall' is reserved for the aggregate row" in err
+        assert not out.exists()
+
     def test_zero_usable_annotations_exit_1(self, tmp_path, capsys):
         path = tmp_path / "coco.json"
         path.write_text(json.dumps({"images": [], "categories": [], "annotations": []}))
@@ -332,7 +409,7 @@ class TestFidelity:
                 area = signed_area(v - v.min(axis=0))
                 tol = 1e-12 * float(np.max(np.abs(v)))
                 boxes = (mask_to_hbb(poly), mask_to_obb(poly))
-                for box, exact in zip(boxes, cli._fidelity_ious(poly)):
+                for box, exact in zip(boxes, cli._fidelity_ious([poly])[0]):
                     theta = getattr(box, "theta", 0.0)
                     rel = v - [box.x0, box.y0]
                     along = rel @ [math.cos(theta), math.sin(theta)]
@@ -355,6 +432,49 @@ class TestFidelity:
         assert run_main(args + ["--out", str(out1)], capsys)[0] == 0
         assert run_main(args + ["--out", str(out2)], capsys)[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def _reference_fidelity_ious(poly):
+    # One polygon at a time, through the scalar conversions and kernels.
+    hbb, obb = mask_to_hbb(poly), mask_to_obb(poly)
+    ellipse = gbb_to_ellipse(mask_to_gbb(poly))
+    v = poly.vertices
+    area = signed_area(v - v.min(axis=0))
+    a, b = ellipse.semi_major, ellipse.semi_minor
+    inter = ellipse_intersection_area(v, ellipse.x0, ellipse.y0, a, b, ellipse.theta)
+    ellipse_area = math.pi * a * b
+    box_ious = (min(area, box.w * box.h) / max(area, box.w * box.h) for box in (hbb, obb))
+    return (*box_ious, inter / (area + ellipse_area - inter))
+
+
+@st.composite
+def _fidelity_corpora(draw):
+    # Synthetic records (5 to 16 of each kind, so the 64-gon ellipses span
+    # two to four blocks, the last often of one polygon), non-convex stars
+    # and random convex hulls, shuffled.
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    polys = [rec.polygon for rec in generate_synthetic("default", draw(st.integers(5, 16)), seed)]
+    for _ in range(draw(st.integers(0, 30))):
+        n = int(rng.integers(5, 9))
+        angles = (np.arange(n) + rng.uniform(0, 1, n)) * (2 * math.pi / n)
+        radii = rng.uniform(0.3, 2.0, n) * rng.uniform(0.1, 10.0)
+        star = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+        polys.append(PolygonMask(star + rng.uniform(-50, 50, 2)))
+    for _ in range(draw(st.integers(0, 30))):
+        hull = convex_hull(rng.normal(size=(int(rng.integers(3, 12)), 2)) * rng.uniform(0.1, 10.0))
+        if len(hull) >= 3:
+            polys.append(PolygonMask(hull + rng.uniform(-50, 50, 2)))
+    return [polys[i] for i in rng.permutation(len(polys))]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_fidelity_corpora())
+def test_fidelity_blocks_match_one_polygon_reference_to_the_bit(polys):
+    got = cli._fidelity_ious(polys)
+    assert got.shape == (len(polys), 3)
+    for row, poly in zip(got.tolist(), polys):
+        assert [v.hex() for v in row] == [float(v).hex() for v in _reference_fidelity_ious(poly)]
 
 
 class TestRegress:

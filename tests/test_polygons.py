@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -412,7 +413,20 @@ def _synthetic(draw):
     return draw(st.sampled_from(records)).polygon.vertices
 
 
-_point_sets = st.one_of(_clouds(), _lattices, _signed_zero_clouds(), _rectangles(), _synthetic())
+@st.composite
+def _near_collinear(draw):
+    # Points on a line, each coordinate moved by 1e-17 to 1e-13 of itself:
+    # the hull's turn tests then hang on the last bits of their products.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 200))
+    line = rng.uniform(-1.0, 1.0, (n, 1)) * rng.normal(size=2) * draw(st.floats(1e-3, 1e3))
+    pts = line + rng.uniform(-50, 50, 2)
+    return pts * (1.0 + rng.normal(size=pts.shape) * 10.0 ** draw(st.floats(-17.0, -13.0)))
+
+
+_point_sets = st.one_of(
+    _clouds(), _lattices, _signed_zero_clouds(), _rectangles(), _synthetic(), _near_collinear()
+)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -602,3 +616,41 @@ def test_ellipse_intersection_area_matches_raster_oracle(poly, e, scale, phi, tx
     edges = np.abs(np.roll(poly, -1, axis=0) - poly)
     crossed = (float(edges.sum()) + 4 * (ex + ey)) / cell + 2 * len(poly) + 8
     assert abs(inter - cells * cell**2) <= crossed * cell**2
+
+
+@st.composite
+def _stacks(draw):
+    # Similar copies of one polygon, so every row has its vertex count, each
+    # with an ellipse of its own.
+    poly = draw(_placed())
+    k = draw(st.integers(1, 12))
+    polys, ellipses = [], []
+    for _ in range(k):
+        phi, scale = draw(st.floats(-math.pi, math.pi)), draw(st.floats(0.1, 10.0))
+        shift = (draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)))
+        polys.append(rotate(poly, phi) * scale + shift)
+        e = draw(_placed_ellipses())
+        ellipses.append(Ellipse(e.x0 * scale + shift[0], e.y0 * scale + shift[1],
+                                e.semi_major * scale, e.semi_minor * scale, e.theta + phi))
+    return np.array(polys), ellipses
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_stacks())
+def test_stacked_kernels_match_one_polygon_calls_to_the_bit(stack):
+    polys, ellipses = stack
+    params = np.array([astuple(e) for e in ellipses]).T
+    areas, centroids, covs = polygon_moments(polys)
+    inter = ellipse_intersection_area(polys, *params)
+    shoelace = signed_area(polys)
+    for i, (poly, e) in enumerate(zip(polys, ellipses)):
+        area, centroid, cov = polygon_moments(poly)
+        assert areas[i].hex() == area.hex()
+        assert centroids[i].tobytes() == centroid.tobytes()
+        assert covs[i].tobytes() == cov.tobytes()
+        assert inter[i].hex() == _ellipse_area(poly, e).hex()
+        assert shoelace[i].hex() == signed_area(poly).hex()
+    # More than one leading axis.
+    moments = polygon_moments(polys[None])
+    assert [m[0].tobytes() for m in moments] == [np.asarray(m).tobytes() for m in (areas, centroids, covs)]
+    assert ellipse_intersection_area(polys[None], *params[:, None])[0].tobytes() == inter.tobytes()
