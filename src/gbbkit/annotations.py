@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convert import obb_corners
 from .polygons import is_simple, signed_area
-from .types import Obb, PolygonMask
+from .types import PolygonMask
 
 logger = logging.getLogger(__name__)
 
@@ -27,9 +26,6 @@ SYNTHETIC_PRESETS = ("default", "ellipses", "axis-rect")
 # The name of the fidelity table's row over all categories, which no
 # annotation category may take.
 AGGREGATE_CATEGORY = "overall"
-
-_ELLIPSE_SEGMENTS = 64
-_CAP_SEGMENTS = 16
 
 
 @dataclass(frozen=True)
@@ -89,9 +85,11 @@ def ingest_annotations(path: str) -> IngestResult:
     Only images[].id, categories[].id/name, and annotations[] with
     image_id, category_id, and a single-polygon segmentation are read.
     Raises OSError when the file cannot be read and ValueError when it is
-    not valid JSON of the expected shape, or when an annotation's category
-    is named AGGREGATE_CATEGORY; individually malformed annotations are
-    skipped and counted instead.
+    not valid JSON of the expected shape, when a category's id is an array
+    or an object, or when an annotation's category is named
+    AGGREGATE_CATEGORY; individually malformed annotations (a category_id
+    that is an array or an object among them) are skipped and counted
+    instead.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -101,11 +99,17 @@ def ingest_annotations(path: str) -> IngestResult:
     if not isinstance(doc, dict) or "annotations" not in doc:
         raise ValueError(f"{path}: expected an object with an 'annotations' list")
 
-    categories = {
-        cat.get("id"): str(cat.get("name", cat.get("id")))
-        for cat in doc.get("categories", [])
-        if isinstance(cat, dict)
-    }
+    categories = {}
+    for index, cat in enumerate(doc.get("categories", [])):
+        if not isinstance(cat, dict):
+            continue
+        cat_id = cat.get("id")
+        if isinstance(cat_id, (list, dict)):
+            raise ValueError(
+                f"{path}: categories[{index}].id must be a number or a string, "
+                f"not a JSON {'array' if isinstance(cat_id, list) else 'object'}"
+            )
+        categories[cat_id] = str(cat.get("name", cat_id))
 
     records: list[AnnotationRecord] = []
     skipped_multipart = 0
@@ -121,12 +125,16 @@ def ingest_annotations(path: str) -> IngestResult:
         if len(seg) > 1:
             skipped_multipart += 1
             continue
+        category_id = ann.get("category_id")
+        if isinstance(category_id, (list, dict)):  # no category can have it
+            skipped_malformed += 1
+            continue
         try:
             polygon = _polygon_from_flat(seg[0])
         except (ValueError, TypeError, OverflowError):
             skipped_malformed += 1
             continue
-        category = categories.get(ann.get("category_id"), str(ann.get("category_id")))
+        category = categories.get(category_id, str(category_id))
         if category == AGGREGATE_CATEGORY:
             raise ValueError(
                 f"{path}: category name {AGGREGATE_CATEGORY!r} is reserved for the aggregate row"
@@ -148,28 +156,65 @@ def ingest_annotations(path: str) -> IngestResult:
     return IngestResult(records, skipped_multipart, skipped_malformed)
 
 
-def _ellipse_polygon(cx, cy, semi_major, semi_minor, theta, segments=_ELLIPSE_SEGMENTS):
-    phi = np.linspace(0.0, 2.0 * math.pi, segments, endpoint=False)
-    c, s = math.cos(theta), math.sin(theta)
-    ex = semi_major * np.cos(phi)
-    ey = semi_minor * np.sin(phi)
-    return PolygonMask(np.column_stack([cx + ex * c - ey * s, cy + ex * s + ey * c]))
+_ELLIPSE_SEGMENTS = 64
+_CAP_SEGMENTS = 16
+
+# Records whose vertices generate_synthetic builds in one stack.
+_SYNTHETIC_CHUNK = 64
+
+# Unit-circle samples of an ellipse outline, and of a capsule's right then
+# left cap, with the side of the center each cap lies on.  Each cos and sin
+# is taken over the array a lone outline once took it over.
+_PHI = np.linspace(0.0, 2.0 * math.pi, _ELLIPSE_SEGMENTS, endpoint=False)
+_CIRCLE = np.cos(_PHI), np.sin(_PHI)
+_CAPS = (
+    np.linspace(-math.pi / 2.0, math.pi / 2.0, _CAP_SEGMENTS + 1),
+    np.linspace(math.pi / 2.0, 3.0 * math.pi / 2.0, _CAP_SEGMENTS + 1),
+)
+_CAP_COS = np.concatenate([np.cos(cap) for cap in _CAPS])
+_CAP_SIN = np.concatenate([np.sin(cap) for cap in _CAPS])
+_CAP_SIDE = np.repeat([1.0, -1.0], _CAP_SEGMENTS + 1)
+_BOX_CORNERS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 
 
-def _capsule_polygon(cx, cy, length, radius, theta, segments=_CAP_SEGMENTS):
-    """Stadium shape: a rectangle with semicircular caps on the short ends."""
-    half = length / 2.0 - radius
-    right = np.linspace(-math.pi / 2.0, math.pi / 2.0, segments + 1)
-    left = np.linspace(math.pi / 2.0, 3.0 * math.pi / 2.0, segments + 1)
-    pts = np.concatenate(
-        [
-            np.column_stack([half + radius * np.cos(right), radius * np.sin(right)]),
-            np.column_stack([-half + radius * np.cos(left), radius * np.sin(left)]),
-        ]
-    )
-    c, s = math.cos(theta), math.sin(theta)
-    rot = np.array([[c, -s], [s, c]])
-    return PolygonMask(pts @ rot.T + np.array([cx, cy]))
+def _cos_sin(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """math.cos and math.sin of each angle, as a lone outline takes them."""
+    angles = theta.tolist()
+    return np.array([math.cos(t) for t in angles]), np.array([math.sin(t) for t in angles])
+
+
+def _placed(local: np.ndarray, cx, cy, theta) -> np.ndarray:
+    """A (k, m, 2) stack of outlines rotated by theta and moved to (cx, cy).
+
+    Each row is its own (m, 2) @ (2, 2).T product, the one a lone outline
+    gets from local @ rot.T.
+    """
+    c, s = _cos_sin(theta)
+    rot = np.empty((len(theta), 2, 2))
+    rot[:, 0, 0] = rot[:, 1, 1] = c
+    rot[:, 0, 1] = -s
+    rot[:, 1, 0] = s
+    return local @ rot.transpose(0, 2, 1) + np.column_stack((cx, cy))[:, None, :]
+
+
+def _ellipse_vertices(cx, cy, semi_major, semi_minor, theta) -> np.ndarray:
+    c, s = (a[:, None] for a in _cos_sin(theta))
+    ex = semi_major[:, None] * _CIRCLE[0]
+    ey = semi_minor[:, None] * _CIRCLE[1]
+    return np.stack((cx[:, None] + ex * c - ey * s, cy[:, None] + ex * s + ey * c), axis=-1)
+
+
+def _box_vertices(cx, cy, w, h, theta) -> np.ndarray:
+    """Counter-clockwise corners, as convert.obb_corners gives them."""
+    half = np.column_stack((w / 2.0, h / 2.0))[:, None, :]
+    return _placed(_BOX_CORNERS * half, cx, cy, theta)
+
+
+def _capsule_vertices(cx, cy, length, radius, theta) -> np.ndarray:
+    """Stadium shapes: rectangles with semicircular caps on the short ends."""
+    half, r = (length / 2.0 - radius)[:, None], radius[:, None]
+    local = np.stack((_CAP_SIDE * half + r * _CAP_COS, r * _CAP_SIN), axis=-1)
+    return _placed(local, cx, cy, theta)
 
 
 def generate_synthetic(
@@ -180,6 +225,10 @@ def generate_synthetic(
     Presets: "default" (rotated ellipses, rectangles, and capsules),
     "ellipses" (eccentric rotated ellipses only), and "axis-rect"
     (axis-aligned rectangles, which horizontal boxes fit exactly).
+
+    Each record draws its center, size, aspect ratio and angle in turn, one
+    scalar at a time.  The outlines are then built _SYNTHETIC_CHUNK records
+    at a time, elementwise and with one rotation product per record.
     """
     if preset not in SYNTHETIC_PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose one of {SYNTHETIC_PRESETS}")
@@ -187,50 +236,33 @@ def generate_synthetic(
         raise ValueError("n_per_category must be positive")
     rng = np.random.default_rng(seed)
     records: list[AnnotationRecord] = []
+    angle = (-math.pi / 2.0, math.pi / 2.0)
 
-    def center():
-        return rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)
+    def draw(*ranges) -> np.ndarray:
+        # One row per parameter: center x and y, then the given ranges.
+        ranges = ((0.0, 10.0), (0.0, 10.0), *ranges)
+        draws = [[rng.uniform(lo, hi) for lo, hi in ranges] for _ in range(n_per_category)]
+        return np.array(draws).T
+
+    def add(kind: str, build, *params: np.ndarray) -> None:
+        for r0 in range(0, n_per_category, _SYNTHETIC_CHUNK):
+            verts = build(*(p[r0 : r0 + _SYNTHETIC_CHUNK] for p in params))
+            records.extend(
+                AnnotationRecord(f"synthetic-{kind}-{i}", kind, PolygonMask(v))
+                for i, v in enumerate(verts, r0)
+            )
 
     if preset in ("default", "ellipses"):
-        for i in range(n_per_category):
-            cx, cy = center()
-            semi_major = rng.uniform(1.0, 3.0)
-            semi_minor = semi_major * rng.uniform(0.25, 0.6)
-            theta = rng.uniform(-math.pi / 2.0, math.pi / 2.0)
-            records.append(
-                AnnotationRecord(
-                    f"synthetic-ellipse-{i}",
-                    "ellipse",
-                    _ellipse_polygon(cx, cy, semi_major, semi_minor, theta),
-                )
-            )
+        cx, cy, semi_major, ratio, theta = draw((1.0, 3.0), (0.25, 0.6), angle)
+        add("ellipse", _ellipse_vertices, cx, cy, semi_major, semi_major * ratio, theta)
     if preset == "default":
-        for i in range(n_per_category):
-            cx, cy = center()
-            w = rng.uniform(1.0, 4.0)
-            h = w * rng.uniform(0.3, 0.8)
-            theta = rng.uniform(-math.pi / 2.0, math.pi / 2.0)
-            rect = PolygonMask(obb_corners(Obb(cx, cy, w, h, theta)))
-            records.append(AnnotationRecord(f"synthetic-rectangle-{i}", "rectangle", rect))
-        for i in range(n_per_category):
-            cx, cy = center()
-            length = rng.uniform(2.0, 5.0)
-            radius = length * rng.uniform(0.12, 0.3)
-            theta = rng.uniform(-math.pi / 2.0, math.pi / 2.0)
-            records.append(
-                AnnotationRecord(
-                    f"synthetic-capsule-{i}",
-                    "capsule",
-                    _capsule_polygon(cx, cy, length, radius, theta),
-                )
-            )
+        cx, cy, w, ratio, theta = draw((1.0, 4.0), (0.3, 0.8), angle)
+        add("rectangle", _box_vertices, cx, cy, w, w * ratio, theta)
+        cx, cy, length, ratio, theta = draw((2.0, 5.0), (0.12, 0.3), angle)
+        add("capsule", _capsule_vertices, cx, cy, length, length * ratio, theta)
     if preset == "axis-rect":
-        for i in range(n_per_category):
-            cx, cy = center()
-            w = rng.uniform(1.0, 4.0)
-            h = w * rng.uniform(0.3, 0.8)
-            rect = PolygonMask(obb_corners(Obb(cx, cy, w, h, 0.0)))
-            records.append(AnnotationRecord(f"synthetic-axis-rect-{i}", "axis-rect", rect))
+        cx, cy, w, ratio = draw((1.0, 4.0), (0.3, 0.8))
+        add("axis-rect", _box_vertices, cx, cy, w, w * ratio, np.zeros(n_per_category))
     return records
 
 

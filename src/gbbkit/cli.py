@@ -166,15 +166,19 @@ def _open_out(path: str | None):
     return open(path, "w", encoding="utf-8", newline=""), True
 
 
-def _write_csv(path: str | None, header: list[str], rows) -> None:
+def _write_lines(path: str | None, header: list[str], lines) -> None:
+    """The CSV header, then each already formatted, newline-ended line."""
     out, close = _open_out(path)
     try:
         out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(row) + "\n")
+        out.writelines(lines)
     finally:
         if close:
             out.close()
+
+
+def _write_csv(path: str | None, header: list[str], rows) -> None:
+    _write_lines(path, header, (",".join(row) + "\n" for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +285,9 @@ def cmd_scatter(args) -> int:
         prob_iou = batch.prob_iou_pairs(batch.gbb_from_hbb(boxes_a), batch.gbb_from_hbb(boxes_b))
     else:
         prob_iou = batch.mask_prob_iou_pairs(batch.rect_mask_bc_pairs(boxes_a, boxes_b))
-    rows = ([_fmt(i), _fmt(p), args.mode] for i, p in zip(iou, prob_iou))
-    _write_csv(args.out, ["iou", "prob_iou", "mode"], rows)
+    # repr of a Python float, as _fmt gives it, without a numpy scalar per value.
+    lines = (f"{i!r},{p!r},{args.mode}\n" for i, p in zip(iou.tolist(), prob_iou.tolist()))
+    _write_lines(args.out, ["iou", "prob_iou", "mode"], lines)
     return EXIT_OK
 
 
@@ -298,11 +303,11 @@ def _fidelity_ious(polys: list[PolygonMask]) -> np.ndarray:
 
     Polygons with one vertex count are stacked into (k, n, 2) blocks of at
     most _FIDELITY_BLOCK_VERTICES vertices, and each block runs the bounds,
-    the area, the moments and the ellipse overlap once.  A block of one
-    polygon (a vertex count no other polygon has, a group's last one left
-    over, or more than half the budget) runs the one-polygon kernels
-    instead, which cost less than a stack of one.  Every row equals what
-    the polygon gets on its own, to the bit.
+    the area, the minimum-area rectangle, the moments and the ellipse
+    overlap once.  A block of one polygon (a vertex count no other polygon
+    has, a group's last one left over, or more than half the budget) runs
+    the one-polygon kernels instead, which cost less than a stack of one.
+    Every row equals what the polygon gets on its own, to the bit.
     """
     ious = np.empty((len(polys), 3))
     by_count: dict[int, list[int]] = {}
@@ -336,15 +341,14 @@ def _fidelity_block(v: np.ndarray) -> np.ndarray:
     lo = v.min(axis=1)
     hbb = v.max(axis=1) - lo
     area = signed_area(v - lo[:, None, :])
-    # The hull and calipers stay one polygon at a time.
-    obb = [w * h for _, w, h, _ in map(min_area_rect, v)]
+    _, w, h, _ = min_area_rect(v)
     _, mu, cov = polygon_moments(v)
     ellipses = [gbb_to_ellipse(_moments_to_gbb(m, c)) for m, c in zip(mu, cov)]
     x0, y0, a, b, theta = np.array(
         [(e.x0, e.y0, e.semi_major, e.semi_minor, e.theta) for e in ellipses]
     ).T
     inter = ellipse_intersection_area(v, x0, y0, a, b, theta)
-    boxes = np.column_stack((hbb[:, 0] * hbb[:, 1], obb))
+    boxes = np.column_stack((hbb[:, 0] * hbb[:, 1], w * h))
     ious = np.empty((len(v), 3))
     ious[:, :2] = np.minimum(area[:, None], boxes) / np.maximum(area[:, None], boxes)
     ious[:, 2] = inter / (area + math.pi * a * b - inter)

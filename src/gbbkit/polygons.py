@@ -2,11 +2,12 @@
 
 All polygons are (n, 2) float arrays.  Functions that consume a
 counter-clockwise orientation say so; nothing here mutates its inputs.
-signed_area, polygon_moments and ellipse_intersection_area also take an
-(..., n, 2) stack of polygons with one vertex count and return one result
-per polygon.  A stack row is summed along its vertex axis as a single
-polygon is, so each of its results equals the one-polygon call to the bit;
-a stack padded to a common length would not.
+signed_area, polygon_moments, min_area_rect and ellipse_intersection_area
+also take an (..., n, 2) stack of polygons with one vertex count and return
+one result per polygon.  A stack row is summed along its vertex axis as a
+single polygon is, and gets the hull and the caliper product a lone polygon
+gets, so each of its results equals the one-polygon call to the bit; a stack
+padded to a common length would not.
 """
 
 from __future__ import annotations
@@ -19,6 +20,15 @@ _CONVEX_REL_TOL = 1e-12
 
 # Edge pairs (or slab and edge pairs) is_simple holds at once.
 _SIMPLE_CHUNK = 1 << 16
+
+# Rotated-coordinate cells (hull vertices x edges) one caliper pass over a
+# stack holds at most: what a lone 64-gon's pass holds.
+_CALIPER_CELLS = 4096
+
+# A turn whose float cross product exceeds this many units of roundoff
+# (2**-53) times the row's extent W * H has its exact sign in every orient
+# test on the row's vertices (see _certified_hulls).
+_HULL_CERT_ULPS = 32.0
 
 
 def _next(a: np.ndarray, axis: int = -2) -> np.ndarray:
@@ -132,43 +142,130 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def min_area_rect(points: np.ndarray) -> tuple[np.ndarray, float, float, float]:
-    """Minimum-area enclosing rotated rectangle via rotating calipers.
+def _certified_hulls(v: np.ndarray) -> np.ndarray:
+    """Which rows of a (k, n, 2) stack are, bit for bit, their own convex_hull.
+
+    A row is certified when every turn's float cross product exceeds
+    _HULL_CERT_ULPS * u * W * H (u = 2**-53, W x H the row's extent) and
+    "the next vertex is lexicographically greater" switches exactly twice
+    around the cycle.  All turns are then left turns of less than pi, the
+    edge direction turns through 2 pi exactly once, so the row is a strictly
+    convex counter-clockwise polygon with distinct vertices.
+
+    Such a row is its own hull, and the monotone chain finds it exactly.
+    Shewchuk's orient2d bound puts the rounding error of every turn test the
+    chain makes, and of the crosses here, below about 6 u W H.  The smallest
+    triangle on the vertices of a convex polygon has three consecutive
+    vertices, whose exact twice-area here exceeds 25 u W H.  So every test
+    the chain could make gets its exact sign, and convex_hull returns the row
+    after + 0.0, rotated to start at its lexicographic minimum.
+    """
+    lo, hi = v.min(axis=-2), v.max(axis=-2)
+    extent = hi - lo
+    bound = _HULL_CERT_ULPS * 2.0**-53 * extent[:, 0] * extent[:, 1]
+    d = _next(v) - v
+    d1 = _next(d)
+    cross = d[..., 0] * d1[..., 1] - d[..., 1] * d1[..., 0]
+    x, y = v[..., 0], v[..., 1]
+    x1, y1 = _next(x, -1), _next(y, -1)
+    up = (x1 > x) | ((x1 == x) & (y1 > y))
+    switches = np.count_nonzero(up != _next(up, -1), axis=-1)
+    return np.all(cross > bound[:, None], axis=-1) & (switches == 2)
+
+
+def _calipers(hulls: np.ndarray) -> list[tuple[float, float, float, float, float]]:
+    """min_area_rect of each CCW hull in a (k, m, 2) stack, as (cx, cy, w, h, theta).
 
     One candidate orientation per hull edge; the optimum is aligned with
-    some edge, so checking all edges is exact.  Ties go to the first hull
-    edge, counting from the hull's lexicographically smallest point.
-
-    Returns:
-        (center (2,), width, height, theta) with width measured along the
-        theta direction.
+    some edge, so checking all edges is exact.  rots[:, i * m + j] holds
+    [[c, -s], [s, c]] for edge j's angle (a rotation by -angle), so one
+    product puts hull i in every edge's frame.  It rounds as a 2x2 product
+    per edge does, which elementwise x*c + y*s does not; math.cos/sin, not
+    numpy's, for the same reason.  Each stack row is its own (m, 2) @ (2, 2m)
+    product, the one a lone hull gets.  The best edge's rectangle is then a
+    few float operations per row, cheaper in Python than in numpy calls.
     """
+    k, m, _ = hulls.shape
+    edges = _next(hulls) - hulls
+    angles = np.arctan2(edges[..., 1], edges[..., 0]).ravel().tolist()
+    rots = np.empty((2, k * m, 2))
+    rots[0, :, 0] = rots[1, :, 1] = [math.cos(a) for a in angles]
+    rots[1, :, 0] = [math.sin(a) for a in angles]
+    rots[0, :, 1] = -rots[1, :, 0]
+    rot = (hulls @ rots.reshape(2, k, 2 * m).transpose(1, 0, 2)).reshape(k, m, m, 2)
+    lo, hi = rot.min(axis=1), rot.max(axis=1)
+    extent = hi - lo
+    rects = []
+    for row, b in enumerate(np.argmin(extent[..., 0] * extent[..., 1], axis=1).tolist()):
+        i = row * m + b
+        (xmin, ymin), (xmax, ymax) = lo[row, b].tolist(), hi[row, b].tolist()
+        c, s = rots[:, i, 0].tolist()
+        cx_r, cy_r = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
+        rects.append((cx_r * c - cy_r * s, cx_r * s + cy_r * c, xmax - xmin, ymax - ymin, angles[i]))
+    return rects
+
+
+def _caliper_chunks(count: int, m: int):
+    """Slices of count hulls of m vertices, each at most _CALIPER_CELLS vertex x edge cells."""
+    step = max(1, _CALIPER_CELLS // (m * m))
+    return (slice(r0, r0 + step) for r0 in range(0, count, step))
+
+
+def _caliper_hull(points: np.ndarray) -> np.ndarray:
+    """convex_hull of one point set, which must have three hull points at least."""
     hull = convex_hull(points)
     if len(hull) < 3:
         raise ValueError("need at least 3 non-collinear points")
+    return hull
 
-    edges = np.concatenate((hull[1:], hull[:1])) - hull
-    angles = np.arctan2(edges[:, 1], edges[:, 0])
 
-    # rots[:, k] is [[c, -s], [s, c]] for angles[k] (a rotation by -angle),
-    # so one product puts the hull in every edge's frame.  It rounds as a
-    # 2x2 product per edge does, which elementwise x*c + y*s does not;
-    # math.cos/sin, not numpy's, for the same reason.
-    rots = np.empty((2, len(angles), 2))
-    rots[0, :, 0] = rots[1, :, 1] = [math.cos(ang) for ang in angles.tolist()]
-    rots[1, :, 0] = [math.sin(ang) for ang in angles.tolist()]
-    rots[0, :, 1] = -rots[1, :, 0]
-    rot = (hull @ rots.reshape(2, -1)).reshape(len(hull), len(angles), 2)
-    lo, hi = rot.min(axis=0), rot.max(axis=0)
-    extent = hi - lo
-    best = int(np.argmin(extent[:, 0] * extent[:, 1]))
+def min_area_rect(
+    points: np.ndarray,
+) -> tuple[np.ndarray, float | np.ndarray, float | np.ndarray, float | np.ndarray]:
+    """Minimum-area enclosing rotated rectangle via rotating calipers.
 
-    ang = angles[best]
-    (xmin, ymin), (xmax, ymax) = lo[best], hi[best]
-    c, s = math.cos(ang), math.sin(ang)
-    cx_r, cy_r = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
-    center = np.array([cx_r * c - cy_r * s, cx_r * s + cy_r * c])
-    return center, float(xmax - xmin), float(ymax - ymin), float(ang)
+    One candidate orientation per hull edge (see _calipers).  Ties go to the
+    first hull edge, counting from the hull's lexicographically smallest
+    point.
+
+    An (..., n, 2) stack gives one rectangle per row, each equal to the
+    one-row call to the bit.  Rows _certified_hulls marks skip convex_hull;
+    the others run it one at a time.  Hulls of one length then share caliper
+    passes of at most _CALIPER_CELLS vertex x edge cells.
+
+    Returns:
+        (center (2,), width, height, theta) with width measured along the
+        theta direction; for a stack, centers (..., 2) and arrays (...,) of
+        the other three.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 2:
+        [(cx, cy, w, h, theta)] = _calipers(_caliper_hull(pts)[None])
+        return np.array([cx, cy]), w, h, theta
+
+    lead, n = pts.shape[:-2], pts.shape[-2]
+    v = pts.reshape(-1, n, 2)
+    certified = _certified_hulls(v)
+    # Each row's lexicographic minimum: the least y among the least x.
+    x, y = v[..., 0], v[..., 1]
+    start = np.argmin(np.where(x == x.min(axis=1, keepdims=True), y, np.inf), axis=1)
+    rects = np.empty((len(v), 5))
+    rows = np.flatnonzero(certified)
+    for part in _caliper_chunks(len(rows), n):
+        # A certified row is its own hull: + 0.0, from its least point on.
+        chunk = rows[part]
+        rects[chunk] = _calipers(v[chunk[:, None], (start[chunk, None] + np.arange(n)) % n] + 0.0)
+    # The other rows' hulls, grouped by length to share the calipers.
+    by_length: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for i in np.flatnonzero(~certified).tolist():
+        hull = _caliper_hull(v[i])
+        by_length.setdefault(len(hull), []).append((i, hull))
+    for m, group in by_length.items():
+        for part in _caliper_chunks(len(group), m):
+            members, hulls = zip(*group[part])
+            rects[list(members)] = _calipers(np.array(hulls))
+    rects = rects.reshape(*lead, 5)
+    return rects[..., :2], rects[..., 2], rects[..., 3], rects[..., 4]
 
 
 def is_convex(vertices: np.ndarray) -> bool:

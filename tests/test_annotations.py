@@ -1,9 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from gbbkit.annotations import generate_synthetic, ingest_annotations
+from gbbkit.annotations import SYNTHETIC_PRESETS, generate_synthetic, ingest_annotations
+from gbbkit.convert import obb_corners
+from gbbkit.types import Obb
 
 
 def write_coco(tmp_path, annotations, categories=None):
@@ -172,3 +175,82 @@ class TestSyntheticCorpus:
             _, count_poly, inter = _occupancy_counts(box, rec.polygon, cell)
             assert inter == count_poly
             assert iou_raster(box, rec.polygon, cell) <= 1.0
+
+
+# The corpus built one record at a time, as generate_synthetic once did:
+# the reference its stacked outlines must equal to the bit.
+
+
+def _reference_ellipse(cx, cy, semi_major, semi_minor, theta):
+    phi = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    c, s = math.cos(theta), math.sin(theta)
+    ex = semi_major * np.cos(phi)
+    ey = semi_minor * np.sin(phi)
+    return np.column_stack([cx + ex * c - ey * s, cy + ex * s + ey * c])
+
+
+def _reference_capsule(cx, cy, length, radius, theta):
+    half = length / 2.0 - radius
+    right = np.linspace(-math.pi / 2.0, math.pi / 2.0, 17)
+    left = np.linspace(math.pi / 2.0, 3.0 * math.pi / 2.0, 17)
+    pts = np.concatenate(
+        [
+            np.column_stack([half + radius * np.cos(right), radius * np.sin(right)]),
+            np.column_stack([-half + radius * np.cos(left), radius * np.sin(left)]),
+        ]
+    )
+    c, s = math.cos(theta), math.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    return pts @ rot.T + np.array([cx, cy])
+
+
+def _reference_synthetic(preset, n, seed):
+    rng = np.random.default_rng(seed)
+    records = []
+
+    def center():
+        return rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)
+
+    if preset in ("default", "ellipses"):
+        for i in range(n):
+            cx, cy = center()
+            semi_major = rng.uniform(1.0, 3.0)
+            semi_minor = semi_major * rng.uniform(0.25, 0.6)
+            theta = rng.uniform(-math.pi / 2.0, math.pi / 2.0)
+            verts = _reference_ellipse(cx, cy, semi_major, semi_minor, theta)
+            records.append((f"synthetic-ellipse-{i}", "ellipse", verts))
+    if preset == "default":
+        for i in range(n):
+            cx, cy = center()
+            w = rng.uniform(1.0, 4.0)
+            h = w * rng.uniform(0.3, 0.8)
+            theta = rng.uniform(-math.pi / 2.0, math.pi / 2.0)
+            verts = obb_corners(Obb(cx, cy, w, h, theta))
+            records.append((f"synthetic-rectangle-{i}", "rectangle", verts))
+        for i in range(n):
+            cx, cy = center()
+            length = rng.uniform(2.0, 5.0)
+            radius = length * rng.uniform(0.12, 0.3)
+            theta = rng.uniform(-math.pi / 2.0, math.pi / 2.0)
+            verts = _reference_capsule(cx, cy, length, radius, theta)
+            records.append((f"synthetic-capsule-{i}", "capsule", verts))
+    if preset == "axis-rect":
+        for i in range(n):
+            cx, cy = center()
+            w = rng.uniform(1.0, 4.0)
+            h = w * rng.uniform(0.3, 0.8)
+            verts = obb_corners(Obb(cx, cy, w, h, 0.0))
+            records.append((f"synthetic-axis-rect-{i}", "axis-rect", verts))
+    return records
+
+
+@pytest.mark.parametrize("seed", [0, 7, 901])
+@pytest.mark.parametrize("n", [1, 2, 37, 300])
+@pytest.mark.parametrize("preset", SYNTHETIC_PRESETS)
+def test_synthetic_corpus_equals_per_record_reference_to_the_bit(preset, n, seed):
+    got = [
+        (rec.image_id, rec.category, rec.polygon.vertices.tobytes())
+        for rec in generate_synthetic(preset, n, seed)
+    ]
+    want = [(i, c, v.tobytes()) for i, c, v in _reference_synthetic(preset, n, seed)]
+    assert got == want

@@ -371,6 +371,43 @@ class TestFidelity:
         assert "category name 'overall' is reserved for the aggregate row" in err
         assert not out.exists()
 
+    def test_list_valued_category_id_counts_as_malformed(self, tmp_path, capsys):
+        doc = {
+            "images": [{"id": 1}],
+            "categories": [{"id": 1, "name": "tri"}],
+            "annotations": [
+                {"image_id": 1, "category_id": [1], "segmentation": [[0, 0, 4, 0, 0, 3]]},
+                {"image_id": 1, "category_id": 1, "segmentation": [[0, 0, 2, 0, 0, 5]]},
+            ],
+        }
+        path = tmp_path / "coco.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "f.csv"
+        code, _, err = run_main(
+            ["fidelity", "--annotations", str(path), "--out", str(out)], capsys
+        )
+        assert code == 0
+        assert "skipped 0 multi-part and 1 malformed" in err
+        assert {r["category"]: r["count"] for r in read_csv(out)} == {"tri": "1", "overall": "1"}
+
+    def test_list_valued_category_id_in_categories_exits_2(self, tmp_path, capsys):
+        doc = {
+            "images": [{"id": 1}],
+            "categories": [{"id": 2, "name": "box"}, {"id": [1], "name": "tri"}],
+            "annotations": [
+                {"image_id": 1, "category_id": 2, "segmentation": [[0, 0, 4, 0, 0, 3]]},
+            ],
+        }
+        path = tmp_path / "coco.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "f.csv"
+        code, _, err = run_main(
+            ["fidelity", "--annotations", str(path), "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert "categories[1].id must be a number or a string, not a JSON array" in err
+        assert not out.exists()
+
     def test_zero_usable_annotations_exit_1(self, tmp_path, capsys):
         path = tmp_path / "coco.json"
         path.write_text(json.dumps({"images": [], "categories": [], "annotations": []}))

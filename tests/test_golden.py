@@ -95,10 +95,8 @@ def test_fidelity_exact_per_record_iou_golden():
     # Every exact IoU the fidelity study takes a median of, not just the medians.
     records = generate_synthetic("default", 12, 3)
     rows = _fidelity_ious([rec.polygon for rec in records]).tolist()
-    # The digest was recorded when the hbb IoU came out as a numpy float,
-    # whose repr names its type.
-    values = [repr(v) for hbb, obb, ell in rows for v in (np.float64(hbb), obb, ell)]
-    assert _digest("\n".join(values)) == "a231cb182ea9036a"
+    values = [v.hex() for row in rows for v in row]
+    assert _digest("\n".join(values)) == "effa6680db9db691"
 
 
 def test_fidelity_per_record_iou_golden():

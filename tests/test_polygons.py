@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gbbkit import polygons
 from gbbkit.annotations import SYNTHETIC_PRESETS, generate_synthetic
 from gbbkit.polygons import (
     clip_convex,
@@ -387,11 +388,12 @@ _lattices = st.lists(st.tuples(_lattice_coord, _lattice_coord), min_size=1, max_
 
 
 @st.composite
-def _signed_zero_clouds(draw):
+def _signed_zero_clouds(draw, n=None):
     # Over 16 points, np.unique stops sorting by insertion, so the signed
     # zero it keeps among equal points comes from its quicksort.
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pts = rng.integers(-2, 3, size=(draw(st.integers(17, 200)), 2)).astype(float)
+    n = draw(st.integers(17, 200)) if n is None else n
+    pts = rng.integers(-2, 3, size=(n, 2)).astype(float)
     pts[(pts == 0.0) & (rng.random(pts.shape) < 0.5)] = -0.0
     return pts
 
@@ -414,11 +416,11 @@ def _synthetic(draw):
 
 
 @st.composite
-def _near_collinear(draw):
+def _near_collinear(draw, n=None):
     # Points on a line, each coordinate moved by 1e-17 to 1e-13 of itself:
     # the hull's turn tests then hang on the last bits of their products.
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(3, 200))
+    n = draw(st.integers(3, 200)) if n is None else n
     line = rng.uniform(-1.0, 1.0, (n, 1)) * rng.normal(size=2) * draw(st.floats(1e-3, 1e3))
     pts = line + rng.uniform(-50, 50, 2)
     return pts * (1.0 + rng.normal(size=pts.shape) * 10.0 ** draw(st.floats(-17.0, -13.0)))
@@ -460,6 +462,160 @@ def test_hull_and_rect_ignore_the_sign_of_zero(points):
             min_area_rect(flipped)
         return
     assert min_area_rect(flipped)[3].hex() == theta.hex()
+
+
+# Rows for a stacked min_area_rect, all with n vertices.  Convex rows in
+# counter-clockwise order are what the certified path takes; the others must
+# fall back to convex_hull and come out as a lone call does.
+
+
+def _convex_row(rng, n):
+    # Sorted angles on a rotated ellipse, some snapped to a lattice and moved
+    # so that a vertex sits at the origin (rotated coordinates of +-0.0).
+    phi = np.sort(rng.uniform(-math.pi, math.pi, n))
+    pts = rotate(np.column_stack([np.cos(phi), rng.uniform(0.05, 1.0) * np.sin(phi)]),
+                 rng.uniform(-math.pi, math.pi))
+    pts = pts * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-50, 50, 2)
+    if rng.random() < 0.3:
+        pts = np.round(pts * rng.integers(2, 50) / np.abs(pts).max())
+    if rng.random() < 0.3:
+        pts = pts - pts[rng.integers(n)]
+        pts[(pts == 0.0) & (rng.random(pts.shape) < 0.5)] = -0.0
+    return np.roll(pts, rng.integers(n), axis=0)
+
+
+def _regular_row(rng, n):
+    phi = rng.uniform(-math.pi, math.pi) + 2.0 * math.pi * np.arange(n) / n
+    return rng.uniform(1e-3, 1e3) * np.column_stack([np.cos(phi), np.sin(phi)]) + rng.uniform(-50, 50, 2)
+
+
+def _star_row(rng, n):
+    row = _regular_row(rng, n)
+    center = row.mean(axis=0)
+    return center + (row - center) * np.where(np.arange(n) % 2 == 0, 1.0, 0.4)[:, None]
+
+
+def _duplicated_row(rng, n):
+    row = _convex_row(rng, n - 1)
+    return np.insert(row, (j := rng.integers(n - 1)), row[j], axis=0)
+
+
+def _lens_row(rng, n):
+    # A flat convex lens, rotated and moved: rounding leaves its turns near
+    # the certificate's bound, on either side of it.
+    t = np.sort(rng.uniform(-1.0, 1.0, n))
+    y = 10.0 ** rng.uniform(-17, -11) * (1.0 - t * t) * np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
+    order = np.concatenate([np.arange(0, n, 2), np.arange(n - 1 - n % 2, 0, -2)])
+    return rotate(np.column_stack([t, y])[order], rng.uniform(-math.pi, math.pi)) + rng.uniform(-50, 50, 2)
+
+
+def _box_row(rng, n):
+    # An axis-aligned lattice box, its list started at any corner: two
+    # vertices share the least x, and zeros come with either sign.
+    (x0, x1), (y0, y1) = np.sort(rng.choice(np.arange(-3.0, 4.0), (2, 2), replace=False))
+    box = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+    box[(box == 0.0) & (rng.random(box.shape) < 0.5)] = -0.0
+    return np.roll(box, rng.integers(4), axis=0)
+
+
+def _twice_row(rng, n):
+    # A convex list traversed twice: every turn is left, and it winds twice.
+    return np.tile(_regular_row(rng, n // 2), (2, 1))
+
+
+_ROW_BUILDERS = {"convex": _convex_row, "regular": _regular_row, "star": _star_row, "lens": _lens_row}
+
+
+@st.composite
+def _stack_rows(draw, n):
+    kinds = [*_ROW_BUILDERS, "near_collinear", "signed_zero"]
+    kinds += ["duplicated"] if n >= 4 else []
+    kinds += ["twice"] if n >= 6 and n % 2 == 0 else []
+    kinds += ["synthetic"] if n in (4, 34, 64) else []
+    kinds += ["box"] if n == 4 else []
+    kind = draw(st.sampled_from(kinds))
+    if kind == "near_collinear":
+        return draw(_near_collinear(n))
+    if kind == "signed_zero":
+        return draw(_signed_zero_clouds(n))
+    if kind == "synthetic":
+        seed = draw(st.integers(0, 10_000))
+        records = [r for preset in SYNTHETIC_PRESETS for r in generate_synthetic(preset, 1, seed)]
+        row = draw(st.sampled_from([r.polygon.vertices for r in records if len(r.polygon.vertices) == n]))
+        return np.roll(row, draw(st.integers(0, n - 1)), axis=0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    builders = {**_ROW_BUILDERS, "box": _box_row, "duplicated": _duplicated_row, "twice": _twice_row}
+    return builders[kind](rng, n)
+
+
+@st.composite
+def _rect_stacks(draw):
+    n = draw(st.one_of(st.sampled_from([3, 4, 6, 34, 64]), st.integers(3, 80)))
+    return np.array([draw(_stack_rows(n)) for _ in range(draw(st.integers(1, 12)))])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_rect_stacks())
+def test_stacked_min_area_rect_matches_one_row_calls_to_the_bit(stack):
+    try:
+        want = [min_area_rect(row) for row in stack]
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            min_area_rect(stack)
+        return
+    centers, widths, heights, thetas = min_area_rect(stack)
+    for i, (center, w, h, theta) in enumerate(want):
+        assert centers[i].tobytes() == center.tobytes()
+        assert [widths[i].hex(), heights[i].hex(), thetas[i].hex()] == [w.hex(), h.hex(), theta.hex()]
+    # More than one leading axis.
+    again = min_area_rect(stack[None])
+    assert [a[0].tobytes() for a in again] == [a.tobytes() for a in (centers, widths, heights, thetas)]
+
+
+def test_stacked_min_area_rect_reads_minus_zero_as_zero():
+    # The box [0, 2] x [0, 1] with each of its four zeros of either sign,
+    # its list started at each corner.
+    box = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
+    zeros = np.argwhere(box == 0.0)
+    rows = []
+    for signs in itertools.product([1.0, -1.0], repeat=len(zeros)):
+        signed = box.copy()
+        signed[tuple(zeros.T)] *= signs
+        rows.extend(np.roll(signed, k, axis=0) for k in range(4))
+    centers, widths, heights, thetas = min_area_rect(np.array(rows))
+    for i, row in enumerate(rows):
+        center, w, h, theta = min_area_rect(row)
+        assert centers[i].tobytes() == center.tobytes()
+        assert [widths[i].hex(), heights[i].hex(), thetas[i].hex()] == [w.hex(), h.hex(), theta.hex()]
+
+
+def test_hull_certificate_rejects_a_convex_list_traversed_twice():
+    twice = _twice_row(np.random.default_rng(5), 12)
+    d = np.roll(twice, -1, axis=0) - twice
+    turns = d[:, 0] * np.roll(d[:, 1], -1) - d[:, 1] * np.roll(d[:, 0], -1)
+    assert np.all(turns > 0)
+    assert polygons._certified_hulls(np.array([twice])).tolist() == [False]
+    assert polygons._certified_hulls(np.array([twice[:6]])).tolist() == [True]
+
+
+@pytest.mark.parametrize("preset", SYNTHETIC_PRESETS)
+def test_every_synthetic_row_takes_the_certified_hull(preset, monkeypatch):
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        return convex_hull(points)
+
+    monkeypatch.setattr(polygons, "convex_hull", counted)
+    by_count = {}
+    for rec in generate_synthetic(preset, 50, 11):
+        by_count.setdefault(len(rec.polygon.vertices), []).append(rec.polygon.vertices)
+    for rows in by_count.values():
+        min_area_rect(np.array(rows))
+    assert calls == []
+    # The counter sees a row that fails the certificate.
+    min_area_rect(np.array([_star_row(np.random.default_rng(1), 8)] * 2))
+    assert calls == [8, 8]
 
 
 # Simple CCW polygons for intersection_area.  Stars and L-shapes are not
