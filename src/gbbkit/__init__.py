@@ -37,6 +37,7 @@ from .metrics import (
     SimilarityReport,
     bhattacharyya_terms,
     loss_l2_axis_aligned,
+    fidelity_ious,
     mask_bc,
     mask_probiou,
     similarity,
@@ -85,7 +86,7 @@ __all__ = [
     "r_from_tau", "tau_from_r", "constrained_to_cov", "DEFAULT_LEVEL_SET_RADIUS",
     # metrics
     "BhattacharyyaTerms", "SimilarityReport", "bhattacharyya_terms",
-    "similarity", "loss_l2_axis_aligned", "mask_bc", "mask_probiou",
+    "similarity", "loss_l2_axis_aligned", "mask_bc", "mask_probiou", "fidelity_ious",
     # gradients
     "HbbGradient", "grad_l2_hbb", "grad_l1_hbb", "grad_general",
     # raster

@@ -85,11 +85,11 @@ def ingest_annotations(path: str) -> IngestResult:
     Only images[].id, categories[].id/name, and annotations[] with
     image_id, category_id, and a single-polygon segmentation are read.
     Raises OSError when the file cannot be read and ValueError when it is
-    not valid JSON of the expected shape, when a category's id is an array
-    or an object, or when an annotation's category is named
-    AGGREGATE_CATEGORY; individually malformed annotations (a category_id
-    that is an array or an object among them) are skipped and counted
-    instead.
+    not valid JSON of the expected shape (annotations or categories that
+    are not an array among them), when a category's id is an array or an
+    object, or when an annotation's category is named AGGREGATE_CATEGORY;
+    individually malformed annotations (a category_id that is an array or
+    an object among them) are skipped and counted instead.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -98,6 +98,9 @@ def ingest_annotations(path: str) -> IngestResult:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or "annotations" not in doc:
         raise ValueError(f"{path}: expected an object with an 'annotations' list")
+    for field in ("annotations", "categories"):
+        if not isinstance(doc.get(field, []), list):
+            raise ValueError(f"{path}: field {field!r} must be a JSON array")
 
     categories = {}
     for index, cat in enumerate(doc.get("categories", [])):
@@ -114,7 +117,7 @@ def ingest_annotations(path: str) -> IngestResult:
     records: list[AnnotationRecord] = []
     skipped_multipart = 0
     skipped_malformed = 0
-    for ann in doc.get("annotations", []):
+    for ann in doc["annotations"]:
         if not isinstance(ann, dict):
             skipped_malformed += 1
             continue

@@ -8,9 +8,10 @@ JSON in, CSV/JSON out.  Shape JSON forms:
     {"type": "polygon", "vertices": [[x, y], ...]}
     {"type": "ellipse", "x": .., "y": .., "semi_major": .., "semi_minor": .., "theta": ..}
 
-CSV output uses a header row, '.' decimals, and '\\n' line ends; identical
-invocations (same seed) produce byte-identical files.  Exit codes: 0
-success, 1 runtime error (I/O, empty results), 2 usage or parse error.
+CSV output uses a header row, '.' decimals, '\\n' line ends, and quotes
+only the fields that need it (RFC 4180); identical invocations (same seed)
+produce byte-identical files.  Exit codes: 0 success, 1 runtime error
+(I/O, empty results), 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import astuple
 
 import numpy as np
@@ -32,26 +34,9 @@ from .annotations import (
     generate_synthetic,
     ingest_annotations,
 )
-from .convert import (
-    _moments_to_gbb,
-    gbb_to_ellipse,
-    mask_to_gbb,
-    mask_to_hbb,
-    mask_to_obb,
-    shape_to_gbb,
-    to_crisp,
-    to_hbb,
-    to_obb,
-    to_polygon,
-)
-from .metrics import similarity
-from .polygons import (
-    ellipse_intersection_area,
-    is_simple,
-    min_area_rect,
-    polygon_moments,
-    signed_area,
-)
+from .convert import gbb_to_ellipse, shape_to_gbb, to_crisp, to_hbb, to_obb, to_polygon
+from .metrics import fidelity_ious, similarity
+from .polygons import is_simple
 # iou_raster has no caller here; perfbench's instrument test checks that
 # patching it rebinds the name in cli.
 from .raster import iou_between, iou_raster  # noqa: F401
@@ -65,10 +50,6 @@ EXIT_USAGE = 2
 # Cells along the larger extent at which perfbench's fidelity latency items
 # time iou_raster.  `fidelity` itself never rasterizes.
 FIDELITY_CELLS = 256
-
-# Most vertices _fidelity_ious stacks into one block.  Each of the block's
-# few dozen temporaries then holds a couple of KB, whatever the corpus size.
-_FIDELITY_BLOCK_VERTICES = 256
 
 _SCATTER_DIM_EPS = 1e-6
 
@@ -160,21 +141,29 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _open_out(path: str | None):
+def _csv_field(text: str) -> str:
+    # RFC 4180 quoting.  csv.writer would take a 128 KB record buffer, the
+    # largest allocation of a fidelity job.
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@contextmanager
+def _output(path: str | None):
+    """The output stream: stdout for None or '-', else the file, closed after."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as out:
+            yield out
 
 
 def _write_lines(path: str | None, header: list[str], lines) -> None:
     """The CSV header, then each already formatted, newline-ended line."""
-    out, close = _open_out(path)
-    try:
+    with _output(path) as out:
         out.write(",".join(header) + "\n")
         out.writelines(lines)
-    finally:
-        if close:
-            out.close()
 
 
 def _write_csv(path: str | None, header: list[str], rows) -> None:
@@ -193,13 +182,9 @@ def cmd_convert(args) -> int:
     except json.JSONDecodeError as exc:
         raise UsageError(f"shape is not valid JSON: {exc}") from exc
     result = convert_shape(parse_shape(obj), args.target)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         json.dump(shape_to_json(result), out)
         out.write("\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -291,70 +276,6 @@ def cmd_scatter(args) -> int:
     return EXIT_OK
 
 
-def _fidelity_ious(polys: list[PolygonMask]) -> np.ndarray:
-    """Exact IoU of each polygon with its hbb, obb and moment-matched ellipse.
-
-    Returns an (n, 3) array, one (hbb, obb, ellipse) row per polygon.  Both
-    boxes contain the polygon by construction (tight bounds, and the
-    minimum-area rectangle of its hull), so each box's exact IoU is the
-    ratio of the smaller area to the larger.  The polygon's area is taken
-    relative to its least corner, so an axis-aligned rectangle's equals its
-    hbb's w * h exactly; in absolute coordinates the shoelace rounds it.
-
-    Polygons with one vertex count are stacked into (k, n, 2) blocks of at
-    most _FIDELITY_BLOCK_VERTICES vertices, and each block runs the bounds,
-    the area, the minimum-area rectangle, the moments and the ellipse
-    overlap once.  A block of one polygon (a vertex count no other polygon
-    has, a group's last one left over, or more than half the budget) runs
-    the one-polygon kernels instead, which cost less than a stack of one.
-    Every row equals what the polygon gets on its own, to the bit.
-    """
-    ious = np.empty((len(polys), 3))
-    by_count: dict[int, list[int]] = {}
-    for i, poly in enumerate(polys):
-        by_count.setdefault(len(poly.vertices), []).append(i)
-    for n, members in by_count.items():
-        step = max(1, _FIDELITY_BLOCK_VERTICES // n)
-        for start in range(0, len(members), step):
-            rows = members[start : start + step]
-            if len(rows) == 1:
-                ious[rows[0]] = _fidelity_row(polys[rows[0]])
-            else:
-                ious[rows] = _fidelity_block(np.array([polys[i].vertices for i in rows]))
-    return ious
-
-
-def _fidelity_row(poly: PolygonMask) -> tuple[float, float, float]:
-    """_fidelity_ious of one polygon, on the one-polygon kernels."""
-    hbb, obb = mask_to_hbb(poly), mask_to_obb(poly)
-    ellipse = gbb_to_ellipse(mask_to_gbb(poly))
-    v = poly.vertices
-    area = signed_area(v - v.min(axis=0))
-    a, b = ellipse.semi_major, ellipse.semi_minor
-    inter = ellipse_intersection_area(v, ellipse.x0, ellipse.y0, a, b, ellipse.theta)
-    box_ious = (min(area, box.w * box.h) / max(area, box.w * box.h) for box in (hbb, obb))
-    return (*box_ious, inter / (area + math.pi * a * b - inter))
-
-
-def _fidelity_block(v: np.ndarray) -> np.ndarray:
-    """_fidelity_ious of a (k, n, 2) stack of k > 1 polygons, as a (k, 3) array."""
-    lo = v.min(axis=1)
-    hbb = v.max(axis=1) - lo
-    area = signed_area(v - lo[:, None, :])
-    _, w, h, _ = min_area_rect(v)
-    _, mu, cov = polygon_moments(v)
-    ellipses = [gbb_to_ellipse(_moments_to_gbb(m, c)) for m, c in zip(mu, cov)]
-    x0, y0, a, b, theta = np.array(
-        [(e.x0, e.y0, e.semi_major, e.semi_minor, e.theta) for e in ellipses]
-    ).T
-    inter = ellipse_intersection_area(v, x0, y0, a, b, theta)
-    boxes = np.column_stack((hbb[:, 0] * hbb[:, 1], w * h))
-    ious = np.empty((len(v), 3))
-    ious[:, :2] = np.minimum(area[:, None], boxes) / np.maximum(area[:, None], boxes)
-    ious[:, 2] = inter / (area + math.pi * a * b - inter)
-    return ious
-
-
 def cmd_fidelity(args) -> int:
     if args.annotations is not None:
         try:
@@ -376,11 +297,12 @@ def cmd_fidelity(args) -> int:
         return EXIT_RUNTIME
 
     # One row of (hbb, obb, ellipse) IoUs per record, in CSV column order.
-    ious = _fidelity_ious([rec.polygon for rec in records])
+    ious = fidelity_ious([rec.polygon for rec in records])
     categories = np.array([rec.category for rec in records], dtype=object)
 
     def median_row(category: str, part: np.ndarray) -> list[str]:
-        return [category, *(_fmt(m) for m in np.median(part, axis=0)), str(len(part))]
+        medians = (_fmt(m) for m in np.median(part, axis=0))
+        return [_csv_field(category), *medians, str(len(part))]
 
     rows = [median_row(name, ious[categories == name]) for name in sorted(set(categories))]
     rows.append(median_row(AGGREGATE_CATEGORY, ious))
@@ -444,11 +366,12 @@ def cmd_regress(args) -> int:
     )
 
     traj = fit_gbb(target, init, schedule, opt)
-    rows = (
-        [str(i), _fmt(s.loss), _fmt(s.grad_norm), _fmt(s.prob_iou), _fmt(s.iou)]
+    # Every FitStep value is a Python float already, so repr is _fmt's text.
+    lines = (
+        f"{i},{s.loss!r},{s.grad_norm!r},{s.prob_iou!r},{s.iou!r}\n"
         for i, s in enumerate(traj.steps)
     )
-    _write_csv(args.out, ["step", "loss", "grad_norm", "prob_iou", "iou"], rows)
+    _write_lines(args.out, ["step", "loss", "grad_norm", "prob_iou", "iou"], lines)
     json.dump(_regress_summary(traj), sys.stdout)
     sys.stdout.write("\n")
     return EXIT_OK
@@ -470,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("shape", help="shape JSON (or '-' to read stdin)")
     p.add_argument("target", choices=["hbb", "obb", "gbb", "ellipse", "polygon"])
     p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("score", help="score JSON-lines shape pairs to CSV")
     p.add_argument("pairs", help="JSON-lines file, one shape pair per line")
@@ -478,14 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cell-size", type=_cell_size, help="raster cell size for pairs with an ellipse"
     )
-    p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("scatter", help="random-box IoU vs ProbIoU scatter CSV")
     p.add_argument("--n", type=_positive_int, default=100000, help="number of box pairs")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--mode", choices=["gbb", "uniform_mask"], default="gbb")
     p.add_argument("--out", help="output CSV path (default stdout)")
-    p.set_defaults(func=cmd_scatter)
 
     p = sub.add_parser("fidelity", help="representation-fidelity medians per category")
     src = p.add_mutually_exclusive_group()
@@ -501,20 +421,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", help="output CSV path (default stdout)")
-    p.set_defaults(func=cmd_fidelity)
 
     p = sub.add_parser("regress", help="run a two-stage fit from a JSON config")
     p.add_argument("--config", required=True, help="fit configuration JSON path")
     p.add_argument("--out", required=True, help="trajectory CSV path")
-    p.set_defaults(func=cmd_regress)
 
     return parser
 
 
+# The parser, built by the first main call and reused by later ones.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up at call time, so a rebound cmd_* (a wrapper) is the one called.
+        return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

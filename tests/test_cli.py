@@ -13,6 +13,7 @@ from gbbkit import cli, raster
 from gbbkit.annotations import SYNTHETIC_PRESETS, generate_synthetic
 from gbbkit.cli import main
 from gbbkit.convert import gbb_to_ellipse, mask_to_gbb, mask_to_hbb, mask_to_obb
+from gbbkit.metrics import fidelity_ious
 from gbbkit.polygons import convex_hull, ellipse_intersection_area, signed_area
 from gbbkit.types import PolygonMask
 
@@ -408,6 +409,39 @@ class TestFidelity:
         assert "categories[1].id must be a number or a string, not a JSON array" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [({"annotations": 5}, "annotations"), ({"annotations": [], "categories": 5}, "categories")],
+        ids=["annotations", "categories"],
+    )
+    def test_non_array_field_exits_2(self, doc, field, tmp_path, capsys):
+        path = tmp_path / "coco.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_main(["fidelity", "--annotations", str(path)], capsys)
+        assert code == 2
+        assert err == f"error: {path}: field {field!r} must be a JSON array\n"
+
+    def test_category_names_are_quoted_where_needed(self, tmp_path, capsys):
+        names = ["car, parked", 'the "big" one', "tri"]
+        doc = {
+            "images": [{"id": 1}],
+            "categories": [{"id": i, "name": name} for i, name in enumerate(names)],
+            "annotations": [
+                {"image_id": 1, "category_id": i, "segmentation": [[0, 0, 4, 0, 0, 3]]}
+                for i in range(len(names))
+            ],
+        }
+        path = tmp_path / "coco.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "f.csv"
+        code, _, _ = run_main(["fidelity", "--annotations", str(path), "--out", str(out)], capsys)
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 5 for row in rows)
+        assert [row[0] for row in rows[1:]] == sorted(names) + ["overall"]
+        assert out.read_text().splitlines()[-1].startswith("overall,")
+
     def test_zero_usable_annotations_exit_1(self, tmp_path, capsys):
         path = tmp_path / "coco.json"
         path.write_text(json.dumps({"images": [], "categories": [], "annotations": []}))
@@ -446,7 +480,7 @@ class TestFidelity:
                 area = signed_area(v - v.min(axis=0))
                 tol = 1e-12 * float(np.max(np.abs(v)))
                 boxes = (mask_to_hbb(poly), mask_to_obb(poly))
-                for box, exact in zip(boxes, cli._fidelity_ious([poly])[0]):
+                for box, exact in zip(boxes, fidelity_ious([poly])[0]):
                     theta = getattr(box, "theta", 0.0)
                     rel = v - [box.x0, box.y0]
                     along = rel @ [math.cos(theta), math.sin(theta)]
@@ -508,7 +542,7 @@ def _fidelity_corpora(draw):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(_fidelity_corpora())
 def test_fidelity_blocks_match_one_polygon_reference_to_the_bit(polys):
-    got = cli._fidelity_ious(polys)
+    got = fidelity_ious(polys)
     assert got.shape == (len(polys), 3)
     for row, poly in zip(got.tolist(), polys):
         assert [v.hex() for v in row] == [float(v).hex() for v in _reference_fidelity_ious(poly)]
@@ -660,6 +694,33 @@ def test_bad_n_exits_2_before_any_work(command, value, tmp_path, capsys):
     assert exc.value.code == 2
     assert "argument --n: must be a positive integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    assert run_main(["convert", HBB_JSON, "gbb"], capsys)[0] == 0
+    assert run_main(["convert", HBB_JSON, "hbb"], capsys)[0] == 0
+    assert len(builds) == 1
+
+
+def test_main_dispatches_through_the_module_global(monkeypatch, capsys):
+    # A wrapper bound to cli.cmd_convert after the parser exists is the one
+    # main calls, as the benchmark's traced run needs for its spans.
+    assert run_main(["convert", HBB_JSON, "gbb"], capsys)[0] == 0
+    calls = []
+    original = cli.cmd_convert
+
+    def recording(args):
+        calls.append(args.target)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_convert", recording)
+    code, out, _ = run_main(["convert", HBB_JSON, "gbb"], capsys)
+    assert code == 0 and json.loads(out)["a"] == 3.0
+    assert calls == ["gbb"]
 
 
 def test_console_entry_point_runs():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from gbbkit.annotations import generate_synthetic
-from gbbkit.cli import _fidelity_ious, main, parse_shape
+from gbbkit.cli import main, parse_shape
 from gbbkit.convert import (
     gbb_to_angle_cov,
     gbb_to_ellipse,
@@ -24,6 +24,7 @@ from gbbkit.convert import (
     mask_to_obb,
     shape_to_gbb,
 )
+from gbbkit.metrics import fidelity_ious
 from gbbkit.raster import default_cell_size, iou_raster
 from gbbkit.regress import VARIANCE_FLOOR, LossSchedule, OptimizerConfig, fit_gbb
 
@@ -94,7 +95,7 @@ def test_fidelity_synthetic_golden(preset, digest, capsys):
 def test_fidelity_exact_per_record_iou_golden():
     # Every exact IoU the fidelity study takes a median of, not just the medians.
     records = generate_synthetic("default", 12, 3)
-    rows = _fidelity_ious([rec.polygon for rec in records]).tolist()
+    rows = fidelity_ious([rec.polygon for rec in records]).tolist()
     values = [v.hex() for row in rows for v in row]
     assert _digest("\n".join(values)) == "effa6680db9db691"
 
