@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .convert import mask_to_gbb
 from .polygons import is_simple, signed_area
 from .types import PolygonMask
 
@@ -76,7 +77,9 @@ def _polygon_from_flat(coords) -> PolygonMask:
         verts = verts[::-1]
     if not is_simple(verts):
         raise ValueError("segmentation edges cross; the polygon is not simple")
-    return PolygonMask(verts)
+    polygon = PolygonMask(verts)
+    mask_to_gbb(polygon)  # raises when no valid Gaussian matches its moments
+    return polygon
 
 
 def ingest_annotations(path: str) -> IngestResult:
@@ -87,9 +90,11 @@ def ingest_annotations(path: str) -> IngestResult:
     Raises OSError when the file cannot be read and ValueError when it is
     not valid JSON of the expected shape (annotations or categories that
     are not an array among them), when a category's id is an array or an
-    object, or when an annotation's category is named AGGREGATE_CATEGORY;
-    individually malformed annotations (a category_id that is an array or
-    an object among them) are skipped and counted instead.
+    object, when two categories share an id under different names, or when
+    an annotation's category is named AGGREGATE_CATEGORY; individually
+    malformed annotations (a category_id that is an array or an object, or
+    a polygon whose moments match no valid Gaussian, among them) are
+    skipped and counted instead.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -103,6 +108,7 @@ def ingest_annotations(path: str) -> IngestResult:
             raise ValueError(f"{path}: field {field!r} must be a JSON array")
 
     categories = {}
+    first_index = {}
     for index, cat in enumerate(doc.get("categories", [])):
         if not isinstance(cat, dict):
             continue
@@ -112,7 +118,13 @@ def ingest_annotations(path: str) -> IngestResult:
                 f"{path}: categories[{index}].id must be a number or a string, "
                 f"not a JSON {'array' if isinstance(cat_id, list) else 'object'}"
             )
-        categories[cat_id] = str(cat.get("name", cat_id))
+        name = str(cat.get("name", cat_id))
+        first = first_index.setdefault(cat_id, index)
+        if categories.setdefault(cat_id, name) != name:
+            raise ValueError(
+                f"{path}: categories[{first}] and categories[{index}] share id {cat_id!r} "
+                f"but are named {categories[cat_id]!r} and {name!r}"
+            )
 
     records: list[AnnotationRecord] = []
     skipped_multipart = 0
@@ -133,7 +145,8 @@ def ingest_annotations(path: str) -> IngestResult:
             skipped_malformed += 1
             continue
         try:
-            polygon = _polygon_from_flat(seg[0])
+            with np.errstate(all="ignore"):
+                polygon = _polygon_from_flat(seg[0])
         except (ValueError, TypeError, OverflowError):
             skipped_malformed += 1
             continue

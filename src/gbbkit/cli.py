@@ -123,9 +123,9 @@ def shape_to_json(shape) -> dict:
 
 
 def convert_shape(shape, target: str):
-    """Apply the conversion from a parsed shape to the named representation."""
+    """The parsed shape in the named representation; an invalid Gaussian raises ValueError."""
     if target == "gbb":
-        return shape_to_gbb(shape)
+        return require_valid_gbb(shape_to_gbb(shape))
     if target == "ellipse":
         return gbb_to_ellipse(shape_to_gbb(shape))
     if target == "obb":
@@ -135,10 +135,6 @@ def convert_shape(shape, target: str):
     if target == "polygon":
         return to_polygon(shape)
     raise UsageError(f"unknown target representation {target!r}")
-
-
-def _fmt(v) -> str:
-    return repr(float(v))
 
 
 def _csv_field(text: str) -> str:
@@ -164,10 +160,6 @@ def _write_lines(path: str | None, header: list[str], lines) -> None:
     with _output(path) as out:
         out.write(",".join(header) + "\n")
         out.writelines(lines)
-
-
-def _write_csv(path: str | None, header: list[str], rows) -> None:
-    _write_lines(path, header, (",".join(row) + "\n" for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +212,8 @@ def _parse_pair(line: str):
 
 
 def cmd_score(args) -> int:
-    try:
-        with open(args.pairs, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    with open(args.pairs, encoding="utf-8") as fh:
+        lines = fh.readlines()
 
     rows = []
     skipped = 0
@@ -248,8 +236,8 @@ def cmd_score(args) -> int:
             print(f"line {lineno}: skipped (non-finite {', '.join(bad)})", file=sys.stderr)
             skipped += 1
             continue
-        rows.append([_fmt(v) for v in values.values()])
-    _write_csv(args.out, ["b_d", "b_c", "h_d", "prob_iou", "iou"], rows)
+        rows.append(",".join(map(repr, values.values())) + "\n")
+    _write_lines(args.out, ["b_d", "b_c", "h_d", "prob_iou", "iou"], rows)
     print(f"scored {len(rows)} pairs, skipped {skipped}", file=sys.stderr)
     return EXIT_OK
 
@@ -270,7 +258,7 @@ def cmd_scatter(args) -> int:
         prob_iou = batch.prob_iou_pairs(batch.gbb_from_hbb(boxes_a), batch.gbb_from_hbb(boxes_b))
     else:
         prob_iou = batch.mask_prob_iou_pairs(batch.rect_mask_bc_pairs(boxes_a, boxes_b))
-    # repr of a Python float, as _fmt gives it, without a numpy scalar per value.
+    # repr of Python floats, without a numpy scalar per value.
     lines = (f"{i!r},{p!r},{args.mode}\n" for i, p in zip(iou.tolist(), prob_iou.tolist()))
     _write_lines(args.out, ["iou", "prob_iou", "mode"], lines)
     return EXIT_OK
@@ -278,11 +266,7 @@ def cmd_scatter(args) -> int:
 
 def cmd_fidelity(args) -> int:
     if args.annotations is not None:
-        try:
-            result = ingest_annotations(args.annotations)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
+        result = ingest_annotations(args.annotations)
         records = result.records
         if result.skipped_multipart or result.skipped_malformed:
             print(
@@ -300,13 +284,13 @@ def cmd_fidelity(args) -> int:
     ious = fidelity_ious([rec.polygon for rec in records])
     categories = np.array([rec.category for rec in records], dtype=object)
 
-    def median_row(category: str, part: np.ndarray) -> list[str]:
-        medians = (_fmt(m) for m in np.median(part, axis=0))
-        return [_csv_field(category), *medians, str(len(part))]
+    def median_row(category: str, part: np.ndarray) -> str:
+        hbb, obb, ellipse = np.median(part, axis=0).tolist()
+        return f"{_csv_field(category)},{hbb!r},{obb!r},{ellipse!r},{len(part)}\n"
 
     rows = [median_row(name, ious[categories == name]) for name in sorted(set(categories))]
     rows.append(median_row(AGGREGATE_CATEGORY, ious))
-    _write_csv(
+    _write_lines(
         args.out,
         ["category", "median_iou_hbb", "median_iou_obb", "median_iou_ellipse", "count"],
         rows,
@@ -345,9 +329,6 @@ def cmd_regress(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict) or "target" not in cfg or "init" not in cfg:
@@ -366,7 +347,7 @@ def cmd_regress(args) -> int:
     )
 
     traj = fit_gbb(target, init, schedule, opt)
-    # Every FitStep value is a Python float already, so repr is _fmt's text.
+    # Every FitStep value is a Python float already.
     lines = (
         f"{i},{s.loss!r},{s.grad_norm!r},{s.prob_iou!r},{s.iou!r}\n"
         for i, s in enumerate(traj.steps)

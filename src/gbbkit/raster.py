@@ -176,7 +176,7 @@ def shared_grid(a: Shape, b: Shape, cell_size: float) -> RasterGrid:
     xmax, ymax = max(ax1, bx1) + cell_size, max(ay1, by1) + cell_size
     nx, ny = (xmax - xmin) / cell_size, (ymax - ymin) / cell_size
     if not nx * ny <= MAX_GRID_CELLS:
-        raise ValueError(f"{nx:.0f} x {ny:.0f} cells of size {cell_size!r} exceed MAX_GRID_CELLS")
+        raise ValueError(f"{nx:.3g} x {ny:.3g} cells of size {cell_size!r} exceed MAX_GRID_CELLS")
     width = max(1, int(math.ceil(nx)))
     height = max(1, int(math.ceil(ny)))
     return RasterGrid((xmin, ymin), cell_size, width, height)

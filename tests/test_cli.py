@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,23 @@ class TestConvert:
         assert got["a"] == pytest.approx(3.0, rel=1e-9)
         assert got["b"] == pytest.approx(12.0, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ({"type": "hbb", "x": 0, "y": 0, "w": 1e-200, "h": 1e-200}, "a must exceed 1e-12 (got 0.0)"),
+            ({"type": "hbb", "x": 0, "y": 0, "w": 1e200, "h": 1}, "a is not finite (got inf)"),
+            (
+                {"type": "obb", "x": 0, "y": 0, "w": 1e-7, "h": 1e-7, "theta": 0},
+                "a must exceed 1e-12 (got 8.3",
+            ),
+        ],
+        ids=["hbb-underflow", "hbb-overflow", "obb-below-eps"],
+    )
+    def test_invalid_gaussian_result_exits_2(self, shape, message, capsys):
+        code, out, err = run_main(["convert", json.dumps(shape), "gbb"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: invalid GaussBox: {message}")
+
     def test_writes_to_out_file(self, tmp_path, capsys):
         out_path = tmp_path / "converted.json"
         code, out, _ = run_main(["convert", HBB_JSON, "gbb", "--out", str(out_path)], capsys)
@@ -220,6 +238,17 @@ class TestScore:
         assert read_csv(out_csv) == []
         assert "line 1: skipped (non-finite iou)" in err
         assert "scored 0 pairs, skipped 1" in err
+
+    def test_grid_beyond_max_cells_skip_line_is_short(self, tmp_path, capsys):
+        box = {"type": "hbb", "x": 0, "y": 0, "w": 1, "h": 1}
+        ellipse = {"type": "ellipse", "x": 0, "y": 0, "semi_major": 1, "semi_minor": 0.5,
+                   "theta": 0}
+        path = self._write_pairs(tmp_path, [json.dumps([box, ellipse])])
+        code, _, err = run_main(["score", path, "--cell-size", "1e-300"], capsys)
+        assert code == 0
+        skip = err.splitlines()[0]
+        assert skip.startswith("line 1: skipped (") and "MAX_GRID_CELLS" in skip
+        assert len(skip) < 200
 
     def test_mixed_shape_pair_scores(self, tmp_path, capsys):
         a = {"type": "hbb", "x": 0, "y": 0, "w": 2, "h": 2}
@@ -390,6 +419,62 @@ class TestFidelity:
         assert code == 0
         assert "skipped 0 multi-part and 1 malformed" in err
         assert {r["category"]: r["count"] for r in read_csv(out)} == {"tri": "1", "overall": "1"}
+
+    def test_polygon_without_valid_gaussian_counts_as_malformed(self, tmp_path, capsys):
+        big = 1e100
+        doc = {
+            "images": [{"id": 1}],
+            "categories": [{"id": 1, "name": "box"}],
+            "annotations": [
+                {"image_id": 1, "category_id": 1, "segmentation": [[0, 0, 4, 0, 4, 3, 0, 3]]},
+                {"image_id": 1, "category_id": 1,
+                 "segmentation": [[0, 0, big, 0, big, big, 0, big]]},
+            ],
+        }
+        path = tmp_path / "coco.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "f.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning fails the test
+            code, _, err = run_main(
+                ["fidelity", "--annotations", str(path), "--out", str(out)], capsys
+            )
+        assert code == 0
+        assert err == "skipped 0 multi-part and 1 malformed annotations\n"
+        assert {r["category"]: r["count"] for r in read_csv(out)} == {"box": "1", "overall": "1"}
+
+    def test_repeated_category_id_with_two_names_exits_2(self, tmp_path, capsys):
+        doc = {
+            "images": [{"id": 1}],
+            "categories": [{"id": 1, "name": "car"}, {"id": 1, "name": "truck"}],
+            "annotations": [
+                {"image_id": 1, "category_id": 1, "segmentation": [[0, 0, 4, 0, 0, 3]]},
+            ],
+        }
+        path = tmp_path / "coco.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "f.csv"
+        code, _, err = run_main(
+            ["fidelity", "--annotations", str(path), "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert "categories[0] and categories[1] share id 1 but are named 'car' and 'truck'" in err
+        assert not out.exists()
+
+    def test_repeated_category_id_with_one_name_is_accepted(self, tmp_path, capsys):
+        doc = {
+            "images": [{"id": 1}],
+            "categories": [{"id": 1, "name": "car"}, {"id": 1, "name": "car"}],
+            "annotations": [
+                {"image_id": 1, "category_id": 1, "segmentation": [[0, 0, 4, 0, 0, 3]]},
+            ],
+        }
+        path = tmp_path / "coco.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "f.csv"
+        code, _, _ = run_main(["fidelity", "--annotations", str(path), "--out", str(out)], capsys)
+        assert code == 0
+        assert {r["category"]: r["count"] for r in read_csv(out)} == {"car": "1", "overall": "1"}
 
     def test_list_valued_category_id_in_categories_exits_2(self, tmp_path, capsys):
         doc = {
@@ -693,6 +778,27 @@ def test_bad_n_exits_2_before_any_work(command, value, tmp_path, capsys):
         main([command, "--n", value, "--out", str(out)])
     assert exc.value.code == 2
     assert "argument --n: must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["score", "{missing}"], "missing"),
+        (["fidelity", "--annotations", "{missing}"], "missing"),
+        (["regress", "--config", "{missing}"], "missing"),
+        (["score", "{dir}"], "dir"),
+    ],
+    ids=["score-missing", "fidelity-missing", "regress-missing", "score-directory"],
+)
+def test_unreadable_input_exits_1_through_main(argv, target, tmp_path, capsys):
+    paths = {"missing": str(tmp_path / "none.json"), "dir": str(tmp_path)}
+    out = tmp_path / "out.csv"
+    code, stdout, err = run_main([a.format(**paths) for a in argv] + ["--out", str(out)], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and paths[target] in err
     assert not out.exists()
 
 
