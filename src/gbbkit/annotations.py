@@ -96,7 +96,7 @@ def ingest_annotations(path: str) -> IngestResult:
     a polygon whose moments match no valid Gaussian, among them) are
     skipped and counted instead.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -3,17 +3,19 @@
 Array counterparts of the scalar metric functions, used by the Monte Carlo
 drivers where per-pair Python objects would dominate the runtime.  Gaussian
 parameter batches are (n, 5) arrays of (x, y, a, b, c); box batches are
-(n, 4) arrays of (x, y, w, h).  Consistency with the scalar path is pinned
-by tests.
+(n, 4) arrays of (x, y, w, h), and oriented ones (n, 5) arrays of
+(x, y, w, h, theta).  Consistency with the scalar path is pinned by tests.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .convert import DEFAULT_LEVEL_SET_RADIUS
+from .polygons import _next, signed_area
 
 
 def gbb_from_hbb(boxes: np.ndarray) -> np.ndarray:
@@ -88,6 +90,92 @@ def rect_mask_bc_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def mask_prob_iou_pairs(bc: np.ndarray) -> np.ndarray:
     """ProbIoU from uniform-mask Bhattacharyya coefficients."""
     return 1.0 - np.sqrt(np.maximum(1.0 - np.asarray(bc, dtype=float), 0.0))
+
+
+def _box_corners(boxes: np.ndarray) -> np.ndarray:
+    """(n, 4, 2) counter-clockwise corners of (n, 5) (x, y, w, h, theta) boxes.
+
+    convert.obb_corners's matmul, one per row: BLAS may fuse its
+    multiply-adds, so only the same product gives the same bits.  The sines
+    come from math, as there.
+    """
+    n = len(boxes)
+    theta = boxes[:, 4].tolist()
+    c = np.array([math.cos(t) for t in theta])
+    s = np.array([math.sin(t) for t in theta])
+    hw, hh = boxes[:, 2] / 2.0, boxes[:, 3] / 2.0
+    local = np.stack((-hw, -hh, hw, -hh, hw, hh, -hw, hh), axis=1).reshape(n, 4, 2)
+    rot = np.stack((c, -s, s, c), axis=1).reshape(n, 2, 2)
+    return local @ rot.transpose(0, 2, 1) + boxes[:, None, :2]
+
+
+def _clip_edge(x, y, count, start, end):
+    """One Sutherland-Hodgman cut of each row's polygon (its first `count`
+    vertices of x and y) by the half-plane left of start -> end.
+
+    polygons.clip_convex's expressions and output order, row-wise.  The
+    result is as wide as its longest row, so no row can overflow it.
+    """
+    n, width = x.shape
+    cx1, cy1 = start[:, :1], start[:, 1:]
+    ex, ey = end[:, :1] - cx1, end[:, 1:] - cy1
+    side = ex * (y - cy1) - ey * (x - cx1)
+    # Each vertex's predecessor, the row's last vertex before its first.
+    last = np.maximum(count - 1, 0)[:, None]
+    px, py, sp = (
+        np.concatenate((np.take_along_axis(v, last, 1), v[:, :-1]), axis=1) for v in (x, y, side)
+    )
+    valid = np.arange(width) < count[:, None]
+    inside = side >= 0.0
+    cut = valid & ((sp >= 0.0) != inside)
+    t = sp / np.where(cut, sp - side, 1.0)
+    # Per vertex, the cut point (if the edge into it changes side) and then
+    # the vertex itself (if inside), compacted in that order.
+    keep = np.stack((cut, valid & inside), axis=2).reshape(n, 2 * width)
+    cand_x = np.stack((px + t * (x - px), x), axis=2).reshape(n, 2 * width)
+    cand_y = np.stack((py + t * (y - py), y), axis=2).reshape(n, 2 * width)
+    count = keep.sum(axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable")[:, : max(int(count.max(initial=0)), 1)]
+    return np.take_along_axis(cand_x, order, 1), np.take_along_axis(cand_y, order, 1), count
+
+
+def iou_obb_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise exact IoU between (n, 5) (x, y, w, h, theta) box batches.
+
+    Each row equals raster.iou_convex of the two boxes' corners to the bit:
+    the corners come from the same matmul, a is clipped against b's edges
+    (3 -> 0), (0 -> 1), (1 -> 2), (2 -> 3) with clip_convex's arithmetic,
+    and each area is polygons.signed_area of a stack of one vertex count,
+    which sums as the lone polygon does.
+
+    A row comes back NaN where the scalar route would raise or give a
+    non-finite value (an area not positive, as rounding gives boxes far
+    from the origin), or where a turn of b's corners is negative, so that
+    intersection_area might not clip against b.  Callers that need the
+    reason score such rows with raster.iou_between.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    ca, cb = _box_corners(a), _box_corners(b)
+    area_a, area_b = signed_area(ca), signed_area(cb)
+
+    x, y, count = ca[:, :, 0], ca[:, :, 1], np.full(len(a), 4)
+    for i in (3, 0, 1, 2):
+        x, y, count = _clip_edge(x, y, count, cb[:, i], cb[:, (i + 1) % 4])
+    inter = np.zeros(len(a))
+    for k in np.unique(count[count >= 3]).tolist():
+        rows = np.nonzero(count == k)[0]
+        poly = np.stack((x[rows, :k], y[rows, :k]), axis=2)
+        inter[rows] = np.abs(signed_area(poly))
+    # Rounding can put a flush pair's clipped area a few ulp above the smaller one.
+    inter = np.minimum(np.minimum(inter, area_a), area_b)
+
+    d = _next(cb) - cb
+    d1 = _next(d)
+    turns = d[..., 0] * d1[..., 1] - d[..., 1] * d1[..., 0]
+    refused = (area_a <= 0) | (area_b <= 0) | (turns < 0).any(axis=1)
+    iou = inter / np.where(refused, 1.0, area_a + area_b - inter)
+    return np.where(refused | ~np.isfinite(iou), np.nan, iou)
 
 
 # The crossing function f is sampled at these angles.  A trig polynomial
@@ -254,6 +342,7 @@ __all__ = [
     "hd_pairs",
     "prob_iou_pairs",
     "iou_hbb_pairs",
+    "iou_obb_pairs",
     "rect_mask_bc_pairs",
     "mask_prob_iou_pairs",
     "iou_ellipse_pairs",

@@ -23,20 +23,23 @@ from gbbkit import (
     similarity,
 )
 from gbbkit.batch import (
+    _box_corners,
     bd_pairs,
     gbb_from_hbb,
     hd_pairs,
     iou_ellipse_pairs,
     iou_hbb_pairs,
+    iou_obb_pairs,
     mask_prob_iou_pairs,
     prob_iou_pairs,
     rect_mask_bc_pairs,
 )
 from gbbkit.gradients import _grad_terms, _l1_factor_at
 from gbbkit.polygons import ellipse_intersection_area
-from gbbkit.raster import default_cell_size
+from gbbkit.convert import obb_corners
+from gbbkit.raster import default_cell_size, iou_between
 from gbbkit.regress import VARIANCE_FLOOR, _loss_and_grad
-from gbbkit.types import PolygonMask
+from gbbkit.types import Obb, PolygonMask
 
 
 def as_rows(gbbs):
@@ -406,3 +409,77 @@ def test_ellipse_iou_within_polygon_bracket(p, q):
     assert hi - lo <= 2.5e-6 * areas
     slack = 1e-12 * areas
     assert lo - slack <= inter <= hi + slack
+
+
+# Angles of every kind, multiples of pi / 2 (where corners land on the axes) among them.
+_thetas = st.one_of(st.integers(-4, 4).map(lambda k: k * math.pi / 2), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _box_pairs(draw):
+    """(a, b) as (x, y, w, h, theta) rows: an hbb is theta 0, and not both are hbbs."""
+    hbb_a, hbb_b = draw(st.sampled_from([(True, False), (False, True), (False, False)]))
+    offset = draw(st.sampled_from([0.0, 10.0, 1e4, 1e7, 1e9]))
+    x, y = (offset + draw(st.floats(-10.0, 10.0)) for _ in range(2))
+    w, h = (draw(st.floats(0.01, 100.0)) for _ in range(2))
+    theta = draw(_thetas)
+    c, s = math.cos(theta), math.sin(theta)
+    relation = draw(st.sampled_from(["identical", "flush", "nested", "disjoint", "overlapping"]))
+    if relation == "identical":
+        b = [x, y, w, h, theta]
+    elif relation == "flush":  # sharing the edge at a's +w side
+        w2 = draw(st.floats(0.01, 100.0))
+        b = [x + (w + w2) / 2 * c, y + (w + w2) / 2 * s, w2, h, theta]
+    elif relation == "nested":
+        shrink = draw(st.floats(0.05, 0.9))
+        b = [x, y, w * shrink, h * shrink, theta + draw(st.floats(-0.1, 0.1))]
+    elif relation == "disjoint":
+        gap = (w + h) * draw(st.floats(1.0, 10.0))
+        b = [x + gap * c, y + gap * s, w, h, draw(_thetas)]
+    else:
+        b = [x + draw(st.floats(-1.0, 1.0)) * w, y + draw(st.floats(-1.0, 1.0)) * h,
+             w * draw(st.floats(0.5, 2.0)), h * draw(st.floats(0.5, 2.0)), draw(_thetas)]
+    a = [x, y, w, h, 0.0 if hbb_a else theta]
+    b[4] = 0.0 if hbb_b else b[4]
+    return (a, hbb_a), (b, hbb_b)
+
+
+def _box(row, hbb):
+    return Hbb(*row[:4]) if hbb else Obb(*row)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(_box_pairs(), min_size=1, max_size=24))
+def test_iou_obb_pairs_matches_the_scalar_route_to_the_bit(pairs):
+    # score sends box pairs through the kernel and keeps the scalar route's
+    # bytes, so each row must carry iou_between's bits, or NaN where it
+    # raises (a corner area rounded to <= 0 far from the origin).
+    got = iou_obb_pairs(*(np.array([row for row, _ in side]) for side in zip(*pairs)))
+    for ((a, hbb_a), (b, hbb_b)), value in zip(pairs, got.tolist()):
+        try:
+            want = iou_between(_box(a, hbb_a), _box(b, hbb_b))
+        except ValueError:
+            want = math.nan
+        assert value.hex() == want.hex() if math.isfinite(want) else math.isnan(value)
+
+
+def test_iou_obb_pairs_nan_where_the_scalar_route_refuses():
+    far = [1e9, 1e9, 1.0, 1.0]
+    with pytest.raises(ValueError, match="positive area"):
+        iou_between(Obb(*far, 0.3), Hbb(*far))
+    got = iou_obb_pairs([[*far, 0.3], [0, 0, 2, 1, 0.3]], [[*far, 0.0], [0, 0, 2, 1, 0.0]])
+    assert math.isnan(got[0])
+    assert got[1] == iou_between(Obb(0, 0, 2, 1, 0.3), Hbb(0, 0, 2, 1))
+    assert iou_obb_pairs(np.empty((0, 5)), np.empty((0, 5))).shape == (0,)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(
+    st.tuples(st.floats(-1e9, 1e9), st.floats(-1e9, 1e9), st.floats(1e-3, 1e3),
+              st.floats(1e-3, 1e3), _thetas),
+    min_size=1, max_size=40,
+))
+def test_stacked_box_corners_match_obb_corners_to_the_bit(rows):
+    got = _box_corners(np.array(rows))
+    for corners, row in zip(got, rows):
+        assert corners.tobytes() == obb_corners(Obb(*row)).tobytes()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbbkit import cli, raster
+from gbbkit import batch, cli, raster
 from gbbkit.annotations import SYNTHETIC_PRESETS, generate_synthetic
 from gbbkit.cli import main
 from gbbkit.convert import gbb_to_ellipse, mask_to_gbb, mask_to_hbb, mask_to_obb
@@ -249,6 +249,113 @@ class TestScore:
         skip = err.splitlines()[0]
         assert skip.startswith("line 1: skipped (") and "MAX_GRID_CELLS" in skip
         assert len(skip) < 200
+
+    def test_box_pairs_are_scored_in_blocks(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        kernel = batch.iou_obb_pairs
+
+        def recording(a, b):
+            calls.append(len(a))
+            return kernel(a, b)
+
+        monkeypatch.setattr(batch, "iou_obb_pairs", recording)
+        block = cli._SCORE_BOX_BLOCK
+        obb = {"type": "obb", "x": 1, "y": 2, "w": 3, "h": 1, "theta": 0.5}
+        hbb = {"type": "hbb", "x": 1.5, "y": 2, "w": 2, "h": 2}
+        # hbb-hbb pairs and the ellipse pair keep their own routes.
+        lines = [json.dumps([obb, hbb])] * (3 * block + 1) + [json.dumps([hbb, hbb])] * 5
+        lines.append(json.dumps([{"type": "gbb", "x": 0, "y": 0, "a": 1, "b": 1, "c": 0}, obb]))
+        path = self._write_pairs(tmp_path, lines)
+        out_csv = tmp_path / "scores.csv"
+        code, _, err = run_main(["score", path, "--out", str(out_csv)], capsys)
+        assert code == 0
+        assert calls == [block, block, block, 1]
+        assert err == f"scored {3 * block + 7} pairs, skipped 0\n"
+        want = repr(raster.iou_between(cli.parse_shape(obb), cli.parse_shape(hbb)))
+        assert [row["iou"] for row in read_csv(out_csv)[: 3 * block + 1]] == [want] * (3 * block + 1)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 128])
+    def test_skip_lines_keep_line_order_around_box_blocks(
+        self, block, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "_SCORE_BOX_BLOCK", block)
+        rng = np.random.default_rng(4)
+
+        def box(kind):
+            x, y, w, h, theta = rng.uniform([0, 0, 1, 1, -3], [10, 10, 5, 5, 3]).tolist()
+            if kind == "hbb":
+                return {"type": "hbb", "x": x, "y": y, "w": w, "h": h}
+            return {"type": "obb", "x": x, "y": y, "w": w, "h": h, "theta": theta}
+
+        def boxes(n):
+            return [json.dumps([box(a), box(b)]) for a, b in
+                    [("obb", "hbb"), ("hbb", "obb"), ("obb", "obb")] * n]
+
+        tiny = {"type": "gbb", "a": 1e-4, "b": 1e-4, "c": 0}
+        far = {"x": 1e8, "y": 1e8, "w": 0.1, "h": 0.1}
+        lines = [
+            *boxes(1), "{broken", *boxes(1), json.dumps([BOW_TIE, box("obb")]), *boxes(2),
+            json.dumps([{**tiny, "x": 0, "y": 0}, {**tiny, "x": 1000, "y": 0}]), *boxes(1),
+            json.dumps([{"type": "obb", **far, "theta": 0.3}, {"type": "hbb", **far}]), *boxes(1),
+        ]
+        path = self._write_pairs(tmp_path, lines)
+        out_csv = tmp_path / "scores.csv"
+        code, _, err = run_main(["score", path, "--out", str(out_csv)], capsys)
+        assert code == 0
+        assert err.splitlines() == [
+            "line 4: skipped (Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1))",
+            "line 8: skipped (polygon edges cross; vertices must outline a simple polygon)",
+            "line 15: skipped (shape rasterized to zero cells; reduce cell_size below the "
+            "smallest shape dimension)",
+            "line 19: skipped (polygons must be counter-clockwise with positive area)",
+            "scored 18 pairs, skipped 4",
+        ]
+        scalar = [
+            repr(raster.iou_between(*(cli.parse_shape(s) for s in json.loads(lines[i]))))
+            for i in range(len(lines)) if i + 1 not in (4, 8, 15, 19)
+        ]
+        assert [row["iou"] for row in read_csv(out_csv)] == scalar
+
+    def test_overflowing_box_pair_is_skipped_without_warnings(self, tmp_path):
+        far = {"x": 1e200, "y": 1e200, "w": 1, "h": 1}
+        path = self._write_pairs(
+            tmp_path, [json.dumps([{"type": "obb", **far, "theta": 0.3}, {"type": "hbb", **far}])]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "gbbkit.cli", "score", path],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "b_d,b_c,h_d,prob_iou,iou\n"
+        assert proc.stderr == "line 1: skipped (non-finite iou)\nscored 0 pairs, skipped 1\n"
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        obb = {"type": "obb", "x": 1, "y": 2, "w": 3, "h": 1, "theta": 0.5}
+        g = {"type": "gbb", "x": 0, "y": 0, "a": 1, "b": 1, "c": 0}
+        text = "\n".join([json.dumps([obb, g]), json.dumps([g, obb])]) + "\n"
+        plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert run_main(["score", str(marked)], capsys) == run_main(["score", str(plain)], capsys)
+        code, out, err = run_main(["score", str(marked)], capsys)
+        assert (code, len(out.splitlines()), err) == (0, 3, "scored 2 pairs, skipped 0\n")
+
+    def test_undecodable_byte_exits_2_before_any_skip_line(self, tmp_path, capsys):
+        obb = {"type": "obb", "x": 1, "y": 2, "w": 3, "h": 1, "theta": 0.5}
+        hbb = {"type": "hbb", "x": 1.5, "y": 2, "w": 2, "h": 2}
+        lines = [json.dumps([obb, hbb]).encode()] * 300
+        path = tmp_path / "pairs.jsonl"
+        path.write_bytes(b"\n".join([*lines, b"{broken", b'[{"type": "hbb", "x": \xff}]']) + b"\n")
+        out_csv = tmp_path / "scores.csv"
+        code, out, err = run_main(["score", str(path), "--out", str(out_csv)], capsys)
+        assert code == 2
+        assert out == ""
+        # The position counts from the start of the 8 KB chunk being decoded.
+        assert err == "error: 'utf-8' codec can't decode byte 0xff in position 1762: invalid start byte\n"
+        assert not out_csv.exists()
 
     def test_mixed_shape_pair_scores(self, tmp_path, capsys):
         a = {"type": "hbb", "x": 0, "y": 0, "w": 2, "h": 2}
@@ -533,6 +640,18 @@ class TestFidelity:
         code, _, err = run_main(["fidelity", "--annotations", str(path)], capsys)
         assert code == 1
 
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        doc = {
+            "categories": [{"id": 5, "name": "tri"}],
+            "annotations": [{"image_id": 1, "category_id": 5, "segmentation": [[0, 0, 4, 0, 0, 3]]}],
+        }
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        plain.write_text(json.dumps(doc), encoding="utf-8")
+        marked.write_text(json.dumps(doc), encoding="utf-8-sig")
+        runs = [run_main(["fidelity", "--annotations", str(p)], capsys) for p in (marked, plain)]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and "tri," in runs[0][1]
+
     def test_unreadable_file_exit_1(self, tmp_path, capsys):
         code, _, _ = run_main(
             ["fidelity", "--annotations", str(tmp_path / "none.json")], capsys
@@ -683,6 +802,22 @@ class TestRegress:
         assert code == 0
         summary = json.loads(stdout)
         assert summary["stalled"] == "stalled: gradient underflow"
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        box = {"type": "hbb", "x": 0, "y": 0, "w": 1, "h": 1}
+        cfg = {"target": box, "init": {**box, "x": 0.5},
+               "schedule": {"total_steps": 10}}
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        plain.write_text(json.dumps(cfg), encoding="utf-8")
+        marked.write_text(json.dumps(cfg), encoding="utf-8-sig")
+        outs = [tmp_path / "plain.csv", tmp_path / "marked.csv"]
+        runs = [
+            run_main(["regress", "--config", str(c), "--out", str(o)], capsys)
+            for c, o in zip((plain, marked), outs)
+        ]
+        assert runs[0] == runs[1] and runs[0][0] == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert len(read_csv(outs[1])) == 11
 
     def test_invalid_config_field_exit_2(self, tmp_path, capsys):
         cfg = self._write_config(
