@@ -230,7 +230,8 @@ class _DiskFrame(NamedTuple):
 def _crossing_splits(f: _DiskFrame):
     """Split angles of q's ellipse: the real part of every root of the
     crossing quartic.  Returns the (n, 4) sorted angles, the scale of the
-    crossing function and the rows where it vanishes."""
+    crossing function, the rows where it vanishes and the rows whose frame
+    or quartic is not finite."""
     # f(t) = |c + U e(t)|^2 - 1 = A0 + A1 cos t + B1 sin t + A2 cos 2t + B2 sin 2t.
     m11 = f.u11 * f.u11 + f.u21 * f.u21
     m22 = f.u22 * f.u22
@@ -267,13 +268,15 @@ def _crossing_splits(f: _DiskFrame):
     companion[:, 0, 3] = -(a0 + a1 + a2) / lead
     companion[:, 1, 0] = companion[:, 2, 1] = companion[:, 3, 2] = 1.0
 
-    # A row that is not positive-definite has no roots; NaN carries through.
-    broken = ~np.isfinite(companion).all(axis=(1, 2))
+    # A row that is not positive-definite, or whose frame or coefficients
+    # overflow, has no roots; NaN carries through.  Every frame field is in
+    # some coefficient, so a non-finite one shows here.
+    broken = ~(np.isfinite(coef).all(axis=1) & np.isfinite(companion).all(axis=(1, 2)))
     companion[broken] = 0.0
     split = t0[:, None] + 2.0 * np.arctan(np.linalg.eigvals(companion).real)
     split[broken] = np.nan
     split.sort(axis=1)
-    return split, scale, coincident
+    return split, scale, coincident, broken
 
 
 def _on_other(f: _DiskFrame, t: np.ndarray):
@@ -313,11 +316,15 @@ def iou_ellipse_pairs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     with no arc clearly inside D is disjoint or externally tangent and
     intersects in nothing; one with no arc clearly outside, or coincident
     (the quartic vanishes or no arc is clear either way), intersects in the
-    smaller ellipse.  A row that is not positive-definite gives NaN.
+    smaller ellipse.  A row that is not positive-definite, has a non-finite
+    field, or whose frame or quartic overflows (centres about 1e155 apart
+    in units of the larger ellipse) gives NaN.
     """
-    frame = _DiskFrame.of(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    frame = _DiskFrame.of(p, q)
     det_u = frame.u11 * frame.u22
-    split, scale, coincident = _crossing_splits(frame)
+    split, scale, coincident, broken = _crossing_splits(frame)
     f = frame.column()
     end = np.concatenate((split[:, 1:], split[:, :1] + 2.0 * np.pi), axis=1)
     dt = end - split
@@ -333,7 +340,9 @@ def iou_ellipse_pairs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     inter = np.clip(0.5 * np.sum(np.where(inside, green, sweep), axis=1), 0.0, smaller)
     inter = np.where(np.any(clear & inside, axis=1), inter, 0.0)
     inter = np.where(coincident | ~np.any(clear & ~inside, axis=1), smaller, inter)
-    return inter / (np.pi * (1.0 + det_u) - inter)
+    # A broken row has no arcs, so the branches above would call it contained.
+    known = np.isfinite(p).all(axis=1) & np.isfinite(q).all(axis=1) & ~broken
+    return np.where(known, inter / (np.pi * (1.0 + det_u) - inter), np.nan)
 
 
 __all__ = [

@@ -53,6 +53,12 @@ FIDELITY_CELLS = 256
 
 _SCATTER_DIM_EPS = 1e-6
 
+# Pairs `scatter` draws, scores and writes at a time, so its memory does not
+# grow with --n.  A multiple of 8 (the AVX-512 double width): numpy's SIMD
+# loops then see every row at the position a whole-array call gives it, and
+# give it the same bits.
+_SCATTER_CHUNK = 8192
+
 # Box pairs `score` scores in one batch.iou_obb_pairs call.  The kernel's
 # temporaries take under 1 KB a row (tracemalloc), so a block's peak stays
 # near 0.1 MB.
@@ -161,7 +167,8 @@ def _output(path: str | None):
 
 
 def _write_lines(path: str | None, header: list[str], lines) -> None:
-    """The CSV header, then each already formatted, newline-ended line."""
+    """The CSV header, then each item of `lines`: already formatted text of
+    one or more whole, newline-ended lines."""
     with _output(path) as out:
         out.write(",".join(header) + "\n")
         out.writelines(lines)
@@ -193,6 +200,17 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
+
+
+def _seed(text: str) -> int:
+    """--seed: an integer >= 0, checked before any work is done."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
     return value
 
 
@@ -309,17 +327,33 @@ def _sample_boxes(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def cmd_scatter(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    boxes_a = _sample_boxes(rng, args.n)
-    boxes_b = _sample_boxes(rng, args.n)
-    iou = batch.iou_hbb_pairs(boxes_a, boxes_b)
-    if args.mode == "gbb":
-        prob_iou = batch.prob_iou_pairs(batch.gbb_from_hbb(boxes_a), batch.gbb_from_hbb(boxes_b))
-    else:
-        prob_iou = batch.mask_prob_iou_pairs(batch.rect_mask_bc_pairs(boxes_a, boxes_b))
-    # repr of Python floats, without a numpy scalar per value.
-    lines = (f"{i!r},{p!r},{args.mode}\n" for i, p in zip(iou.tolist(), prob_iou.tolist()))
-    _write_lines(args.out, ["iou", "prob_iou", "mode"], lines)
+    n, mode = args.n, args.mode
+    # The pairs are those of one whole-array draw: n boxes a, then n boxes b,
+    # from default_rng(seed).  Generator.random takes one 64-bit output per
+    # double, so a second generator advanced past a's 4n outputs draws b's
+    # values chunk by chunk, while the first draws a's.
+    rng_a = np.random.default_rng(args.seed)
+    rng_b = np.random.Generator(np.random.PCG64(args.seed).advance(4 * n))
+
+    def chunks():
+        for start in range(0, n, _SCATTER_CHUNK):
+            size = min(_SCATTER_CHUNK, n - start)
+            boxes_a = _sample_boxes(rng_a, size)
+            boxes_b = _sample_boxes(rng_b, size)
+            iou = batch.iou_hbb_pairs(boxes_a, boxes_b)
+            if mode == "gbb":
+                prob_iou = batch.prob_iou_pairs(
+                    batch.gbb_from_hbb(boxes_a), batch.gbb_from_hbb(boxes_b)
+                )
+            else:
+                prob_iou = batch.mask_prob_iou_pairs(batch.rect_mask_bc_pairs(boxes_a, boxes_b))
+            # repr of Python floats, without a numpy scalar per value; one
+            # string per chunk, so the file takes one write per chunk.
+            yield "".join(
+                [f"{i!r},{p!r},{mode}\n" for i, p in zip(iou.tolist(), prob_iou.tolist())]
+            )
+
+    _write_lines(args.out, ["iou", "prob_iou", "mode"], chunks())
     return EXIT_OK
 
 
@@ -443,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scatter", help="random-box IoU vs ProbIoU scatter CSV")
     p.add_argument("--n", type=_positive_int, default=100000, help="number of box pairs")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--mode", choices=["gbb", "uniform_mask"], default="gbb")
     p.add_argument("--out", help="output CSV path (default stdout)")
 
@@ -459,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--n", type=_positive_int, default=1000, help="synthetic shapes per category"
     )
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_seed, default=7)
     p.add_argument("--out", help="output CSV path (default stdout)")
 
     p = sub.add_parser("regress", help="run a two-stage fit from a JSON config")

@@ -293,6 +293,42 @@ class TestIouEllipsePairs:
         good = [0, 2, 7]
         np.testing.assert_array_equal(got[good], iou_ellipse_pairs(ps, qs)[good])
 
+    @pytest.mark.parametrize("swap", [False, True], ids=["bad-first", "bad-second"])
+    def test_row_not_finite_or_overflowing_gives_nan(self, swap):
+        unit = [0.5, 0.0, 1.0, 1.0, 0.0]
+        bad_rows = [
+            [math.nan, 0.0, 1.0, 1.0, 0.0],
+            [0.5, math.inf, 1.0, 1.0, 0.0],
+            [-math.inf, 0.0, 1.0, 1.0, 0.0],
+            [0.5, 0.0, math.inf, 1.0, 0.0],
+            [0.5, 0.0, 1.0, 1.0, math.nan],
+            # The disk frame's c1^2 overflows this far apart.
+            [1e155, 0.0, 1.0, 1.0, 0.0],
+            [0.5, -1e155, 1.0, 1.0, 0.0],
+            circle(1e155, 0.0, 1e-10),
+        ]
+        rng = np.random.default_rng(9)
+        n = 2 * len(bad_rows)
+        ps = as_rows([random_gauss_box(rng, 1.0) for _ in range(n)])
+        qs = as_rows([random_gauss_box(rng, 1.0) for _ in range(n)])
+        want = iou_ellipse_pairs(ps, qs)
+        bad_p, bad_q = ps.copy(), qs.copy()
+        bad = np.arange(1, n, 2)
+        bad_p[bad], bad_q[bad] = bad_rows, unit
+        if swap:
+            bad_p, bad_q = bad_q, bad_p
+        with np.errstate(all="ignore"):
+            got = iou_ellipse_pairs(bad_p, bad_q)
+        assert np.isnan(got[bad]).all()
+        good = np.arange(0, n, 2)
+        np.testing.assert_array_equal(got[good], want[good])
+
+    def test_far_but_finite_pair_is_disjoint(self):
+        # Short of the overflow above, the frame holds and the pair scores 0.
+        unit = [0.5, 0.0, 1.0, 1.0, 0.0]
+        far = [1e154, 0.0, 1.0, 1.0, 0.0]
+        assert ellipse_iou(far, unit) == ellipse_iou(unit, far) == 0.0
+
 
 _gauss_rows = st.builds(
     lambda x, y, ap, bp, th: [x, y, *cov_from_angles(AngleCov(ap, bp, th))],

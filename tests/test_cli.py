@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -369,7 +370,58 @@ class TestScore:
         assert float(row["prob_iou"]) == pytest.approx(1.0, abs=1e-9)
 
 
+def _scatter_oracle(n, seed, mode):
+    """scatter's CSV from one whole-array draw: n boxes a, then n boxes b."""
+    rng = np.random.default_rng(seed)
+    boxes_a = cli._sample_boxes(rng, n)
+    boxes_b = cli._sample_boxes(rng, n)
+    iou = batch.iou_hbb_pairs(boxes_a, boxes_b)
+    if mode == "gbb":
+        prob_iou = batch.prob_iou_pairs(batch.gbb_from_hbb(boxes_a), batch.gbb_from_hbb(boxes_b))
+    else:
+        prob_iou = batch.mask_prob_iou_pairs(batch.rect_mask_bc_pairs(boxes_a, boxes_b))
+    rows = (f"{i!r},{p!r},{mode}\n" for i, p in zip(iou.tolist(), prob_iou.tolist()))
+    return "iou,prob_iou,mode\n" + "".join(rows)
+
+
 class TestScatter:
+    @pytest.mark.parametrize("mode", ["gbb", "uniform_mask"])
+    @pytest.mark.parametrize("seed", [0, 42])
+    @pytest.mark.parametrize("n", [1, 6, 7, 8, 23])
+    def test_chunks_write_the_whole_array_bytes(self, n, seed, mode, monkeypatch, capsys):
+        # Chunks of 7: a short last chunk, an exact fit, and several chunks.
+        monkeypatch.setattr(cli, "_SCATTER_CHUNK", 7)
+        argv = ["scatter", "--n", str(n), "--seed", str(seed), "--mode", mode]
+        code, out, err = run_main(argv, capsys)
+        assert (code, err) == (0, "")
+        # Lists, so a failure names the first differing row without a diff
+        # of the whole text.
+        want = _scatter_oracle(n, seed, mode)
+        assert out.splitlines(keepends=True) == want.splitlines(keepends=True)
+
+    @pytest.mark.parametrize("mode", ["gbb", "uniform_mask"])
+    def test_default_chunk_writes_the_whole_array_bytes(self, mode, capsys):
+        n = 2 * cli._SCATTER_CHUNK + 3
+        code, out, _ = run_main(["scatter", "--n", str(n), "--seed", "9", "--mode", mode], capsys)
+        assert code == 0
+        want = _scatter_oracle(n, 9, mode)
+        assert out.splitlines(keepends=True) == want.splitlines(keepends=True)
+
+    def test_peak_memory_does_not_grow_with_n(self, tmp_path):
+        out = tmp_path / "s.csv"
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                assert main(["scatter", "--n", str(n), "--seed", "1", "--out", str(out)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(8)  # warm: the parser and numpy's first-call caches
+        chunk = cli._SCATTER_CHUNK
+        assert peak(32 * chunk) <= 1.2 * peak(4 * chunk)
+
     def test_deterministic_and_endpoint(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["scatter", "--n", "2000", "--seed", "42", "--mode", "gbb"]
@@ -913,6 +965,17 @@ def test_bad_n_exits_2_before_any_work(command, value, tmp_path, capsys):
         main([command, "--n", value, "--out", str(out)])
     assert exc.value.code == 2
     assert "argument --n: must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "-5", "1.5", "x"])
+@pytest.mark.parametrize("command", ["scatter", "fidelity"])
+def test_bad_seed_exits_2_before_any_work(command, value, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
     assert not out.exists()
 
 

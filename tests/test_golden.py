@@ -146,6 +146,18 @@ def test_score_mixed_golden(tmp_path, capsys):
     assert _digest(out) == "a23a8c88e5a343e4"
 
 
+def test_scatter_golden(tmp_path, capsys):
+    # Both modes at the README's defaults, recorded while scatter still drew
+    # and scored all its pairs in one whole-array call.
+    outs = []
+    for mode in ("gbb", "uniform_mask"):
+        out = tmp_path / f"{mode}.csv"
+        argv = ["scatter", "--n", "100000", "--seed", "42", "--mode", mode, "--out", str(out)]
+        outs.append(_cli(argv, capsys))
+        outs.append(out.read_text(encoding="utf-8"))
+    assert _digest("\n".join(outs)) == "e8a40623927792cb"
+
+
 _REGRESS_SCHEDULE = {"omega1": 1.0, "omega2": 5.0, "switch_fraction": 0.5, "total_steps": 400}
 
 # The README config, the period-2 oscillation from an oriented init, and one
