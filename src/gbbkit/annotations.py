@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convert import mask_to_gbb
-from .polygons import is_simple, signed_area
+from .polygons import _box_corners, _cos_sin, _placed, is_simple, signed_area
 from .types import PolygonMask
 
 logger = logging.getLogger(__name__)
@@ -190,27 +190,6 @@ _CAPS = (
 _CAP_COS = np.concatenate([np.cos(cap) for cap in _CAPS])
 _CAP_SIN = np.concatenate([np.sin(cap) for cap in _CAPS])
 _CAP_SIDE = np.repeat([1.0, -1.0], _CAP_SEGMENTS + 1)
-_BOX_CORNERS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-
-
-def _cos_sin(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """math.cos and math.sin of each angle, as a lone outline takes them."""
-    angles = theta.tolist()
-    return np.array([math.cos(t) for t in angles]), np.array([math.sin(t) for t in angles])
-
-
-def _placed(local: np.ndarray, cx, cy, theta) -> np.ndarray:
-    """A (k, m, 2) stack of outlines rotated by theta and moved to (cx, cy).
-
-    Each row is its own (m, 2) @ (2, 2).T product, the one a lone outline
-    gets from local @ rot.T.
-    """
-    c, s = _cos_sin(theta)
-    rot = np.empty((len(theta), 2, 2))
-    rot[:, 0, 0] = rot[:, 1, 1] = c
-    rot[:, 0, 1] = -s
-    rot[:, 1, 0] = s
-    return local @ rot.transpose(0, 2, 1) + np.column_stack((cx, cy))[:, None, :]
 
 
 def _ellipse_vertices(cx, cy, semi_major, semi_minor, theta) -> np.ndarray:
@@ -218,12 +197,6 @@ def _ellipse_vertices(cx, cy, semi_major, semi_minor, theta) -> np.ndarray:
     ex = semi_major[:, None] * _CIRCLE[0]
     ey = semi_minor[:, None] * _CIRCLE[1]
     return np.stack((cx[:, None] + ex * c - ey * s, cy[:, None] + ex * s + ey * c), axis=-1)
-
-
-def _box_vertices(cx, cy, w, h, theta) -> np.ndarray:
-    """Counter-clockwise corners, as convert.obb_corners gives them."""
-    half = np.column_stack((w / 2.0, h / 2.0))[:, None, :]
-    return _placed(_BOX_CORNERS * half, cx, cy, theta)
 
 
 def _capsule_vertices(cx, cy, length, radius, theta) -> np.ndarray:
@@ -273,12 +246,12 @@ def generate_synthetic(
         add("ellipse", _ellipse_vertices, cx, cy, semi_major, semi_major * ratio, theta)
     if preset == "default":
         cx, cy, w, ratio, theta = draw((1.0, 4.0), (0.3, 0.8), angle)
-        add("rectangle", _box_vertices, cx, cy, w, w * ratio, theta)
+        add("rectangle", _box_corners, cx, cy, w, w * ratio, theta)
         cx, cy, length, ratio, theta = draw((2.0, 5.0), (0.12, 0.3), angle)
         add("capsule", _capsule_vertices, cx, cy, length, length * ratio, theta)
     if preset == "axis-rect":
         cx, cy, w, ratio = draw((1.0, 4.0), (0.3, 0.8))
-        add("axis-rect", _box_vertices, cx, cy, w, w * ratio, np.zeros(n_per_category))
+        add("axis-rect", _box_corners, cx, cy, w, w * ratio, np.zeros(n_per_category))
     return records
 
 

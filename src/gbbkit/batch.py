@@ -9,13 +9,12 @@ parameter batches are (n, 5) arrays of (x, y, a, b, c); box batches are
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .convert import DEFAULT_LEVEL_SET_RADIUS
-from .polygons import _next, signed_area
+from .polygons import _box_corners, _next, _turns, signed_area
 
 
 def gbb_from_hbb(boxes: np.ndarray) -> np.ndarray:
@@ -92,23 +91,6 @@ def mask_prob_iou_pairs(bc: np.ndarray) -> np.ndarray:
     return 1.0 - np.sqrt(np.maximum(1.0 - np.asarray(bc, dtype=float), 0.0))
 
 
-def _box_corners(boxes: np.ndarray) -> np.ndarray:
-    """(n, 4, 2) counter-clockwise corners of (n, 5) (x, y, w, h, theta) boxes.
-
-    convert.obb_corners's matmul, one per row: BLAS may fuse its
-    multiply-adds, so only the same product gives the same bits.  The sines
-    come from math, as there.
-    """
-    n = len(boxes)
-    theta = boxes[:, 4].tolist()
-    c = np.array([math.cos(t) for t in theta])
-    s = np.array([math.sin(t) for t in theta])
-    hw, hh = boxes[:, 2] / 2.0, boxes[:, 3] / 2.0
-    local = np.stack((-hw, -hh, hw, -hh, hw, hh, -hw, hh), axis=1).reshape(n, 4, 2)
-    rot = np.stack((c, -s, s, c), axis=1).reshape(n, 2, 2)
-    return local @ rot.transpose(0, 2, 1) + boxes[:, None, :2]
-
-
 def _clip_edge(x, y, count, start, end):
     """One Sutherland-Hodgman cut of each row's polygon (its first `count`
     vertices of x and y) by the half-plane left of start -> end.
@@ -156,7 +138,7 @@ def iou_obb_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    ca, cb = _box_corners(a), _box_corners(b)
+    ca, cb = _box_corners(*a.T), _box_corners(*b.T)
     area_a, area_b = signed_area(ca), signed_area(cb)
 
     x, y, count = ca[:, :, 0], ca[:, :, 1], np.full(len(a), 4)
@@ -170,10 +152,7 @@ def iou_obb_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Rounding can put a flush pair's clipped area a few ulp above the smaller one.
     inter = np.minimum(np.minimum(inter, area_a), area_b)
 
-    d = _next(cb) - cb
-    d1 = _next(d)
-    turns = d[..., 0] * d1[..., 1] - d[..., 1] * d1[..., 0]
-    refused = (area_a <= 0) | (area_b <= 0) | (turns < 0).any(axis=1)
+    refused = (area_a <= 0) | (area_b <= 0) | (_turns(_next(cb) - cb) < 0).any(axis=1)
     iou = inter / np.where(refused, 1.0, area_a + area_b - inter)
     return np.where(refused | ~np.isfinite(iou), np.nan, iou)
 

@@ -185,7 +185,8 @@ def cmd_convert(args) -> int:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"shape is not valid JSON: {exc}") from exc
-    result = convert_shape(parse_shape(obj), args.target)
+    with np.errstate(all="ignore"):
+        result = convert_shape(parse_shape(obj), args.target)
     with _output(args.out) as out:
         json.dump(shape_to_json(result), out)
         out.write("\n")

@@ -35,6 +35,9 @@ EXP_CLAMP = 30.0
 
 _ISOTROPIC_TOL = 1e-12
 
+# Largest |c| / max(a, b) that gbb_to_hbb reads as a diagonal covariance.
+_DIAGONAL_REL_TOL = 2.0**-51
+
 
 def hbb_to_gbb(box: Hbb) -> GaussBox:
     """Axis-aligned box to its moment-matched Gaussian (diagonal covariance)."""
@@ -144,8 +147,13 @@ def ellipse_to_gbb(e: Ellipse) -> GaussBox:
 
 
 def gbb_to_hbb(g: GaussBox) -> Hbb:
-    """Diagonal Gaussian back to the axis-aligned box whose moments it matches."""
-    if g.c != 0.0:
+    """Diagonal Gaussian back to the axis-aligned box whose moments it matches.
+
+    A c within _DIAGONAL_REL_TOL of max(a, b) counts as zero: at a quarter
+    turn theta = fl(k pi / 2), cov_from_angles leaves up to about
+    1.4 * 2**-52 * max(a, b) in c, and an obb or ellipse there is axis-aligned.
+    """
+    if not abs(g.c) <= _DIAGONAL_REL_TOL * max(g.a, g.b):
         raise ValueError("only diagonal Gaussians convert to hbb; use obb instead")
     return Hbb(g.x0, g.y0, math.sqrt(12.0 * g.a), math.sqrt(12.0 * g.b))
 

@@ -43,6 +43,53 @@ def _next(a: np.ndarray, axis: int = -2) -> np.ndarray:
     return np.concatenate((a[..., 1:, :], a[..., :1, :]), axis=-2)
 
 
+def _turns(d: np.ndarray) -> np.ndarray:
+    """Cross product of each edge vector of an (..., n, 2) cycle with the next.
+
+    Positive at a left turn.  is_convex, the hull certificate and
+    batch.iou_obb_pairs all test turns through it.
+    """
+    d1 = _next(d)
+    return d[..., 0] * d1[..., 1] - d[..., 1] * d1[..., 0]
+
+
+def _cos_sin(theta) -> tuple[np.ndarray, np.ndarray]:
+    """math.cos and math.sin of each angle, as arrays of theta's shape.
+
+    One angle at a time, as a one-shape route takes it: numpy's cos and sin
+    may differ from math's in the last bit.
+    """
+    theta = np.asarray(theta, dtype=float)
+    angles = theta.ravel().tolist()
+    c = np.array([math.cos(t) for t in angles]).reshape(theta.shape)
+    return c, np.array([math.sin(t) for t in angles]).reshape(theta.shape)
+
+
+def _placed(local: np.ndarray, cx, cy, theta) -> np.ndarray:
+    """A (k, m, 2) stack of outlines rotated by theta and moved to (cx, cy).
+
+    Each row is its own (m, 2) @ (2, 2).T product, the one a lone outline
+    gets from local @ rot.T (convert.obb_corners): BLAS may fuse its
+    multiply-adds, so only the same product gives the same bits.
+    """
+    c, s = _cos_sin(theta)
+    rot = np.empty((len(c), 2, 2))
+    rot[:, 0, 0] = rot[:, 1, 1] = c
+    rot[:, 0, 1] = -s
+    rot[:, 1, 0] = s
+    return local @ rot.transpose(0, 2, 1) + np.column_stack((cx, cy))[:, None, :]
+
+
+def _box_corners(cx, cy, w, h, theta) -> np.ndarray:
+    """(k, 4, 2) counter-clockwise corners of k oriented boxes.
+
+    Each row equals convert.obb_corners of its box to the bit.
+    """
+    hw, hh = w / 2.0, h / 2.0
+    local = np.stack((-hw, -hh, hw, -hh, hw, hh, -hw, hh), axis=-1).reshape(-1, 4, 2)
+    return _placed(local, cx, cy, theta)
+
+
 def signed_area(vertices: np.ndarray) -> float | np.ndarray:
     """Shoelace signed area; positive for counter-clockwise orientation.
 
@@ -163,9 +210,7 @@ def _certified_hulls(v: np.ndarray) -> np.ndarray:
     lo, hi = v.min(axis=-2), v.max(axis=-2)
     extent = hi - lo
     bound = _HULL_CERT_ULPS * 2.0**-53 * extent[:, 0] * extent[:, 1]
-    d = _next(v) - v
-    d1 = _next(d)
-    cross = d[..., 0] * d1[..., 1] - d[..., 1] * d1[..., 0]
+    cross = _turns(_next(v) - v)
     x, y = v[..., 0], v[..., 1]
     x1, y1 = _next(x, -1), _next(y, -1)
     up = (x1 > x) | ((x1 == x) & (y1 > y))
@@ -187,10 +232,10 @@ def _calipers(hulls: np.ndarray) -> list[tuple[float, float, float, float, float
     """
     k, m, _ = hulls.shape
     edges = _next(hulls) - hulls
-    angles = np.arctan2(edges[..., 1], edges[..., 0]).ravel().tolist()
+    angles = np.arctan2(edges[..., 1], edges[..., 0]).ravel()
     rots = np.empty((2, k * m, 2))
-    rots[0, :, 0] = rots[1, :, 1] = [math.cos(a) for a in angles]
-    rots[1, :, 0] = [math.sin(a) for a in angles]
+    rots[0, :, 0], rots[1, :, 0] = _cos_sin(angles)
+    rots[1, :, 1] = rots[0, :, 0]
     rots[0, :, 1] = -rots[1, :, 0]
     rot = (hulls @ rots.reshape(2, k, 2 * m).transpose(1, 0, 2)).reshape(k, m, m, 2)
     lo, hi = rot.min(axis=1), rot.max(axis=1)
@@ -201,7 +246,8 @@ def _calipers(hulls: np.ndarray) -> list[tuple[float, float, float, float, float
         (xmin, ymin), (xmax, ymax) = lo[row, b].tolist(), hi[row, b].tolist()
         c, s = rots[:, i, 0].tolist()
         cx_r, cy_r = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
-        rects.append((cx_r * c - cy_r * s, cx_r * s + cy_r * c, xmax - xmin, ymax - ymin, angles[i]))
+        x, y = cx_r * c - cy_r * s, cx_r * s + cy_r * c
+        rects.append((x, y, xmax - xmin, ymax - ymin, float(angles[i])))
     return rects
 
 
@@ -271,15 +317,14 @@ def min_area_rect(
 def is_convex(vertices: np.ndarray) -> bool:
     """True when every turn of the counter-clockwise boundary is a left turn.
 
-    Collinear vertices are tolerated within _CONVEX_REL_TOL of the polygon
-    scale.
+    A turn counts as left down to -_CONVEX_REL_TOL times the square of the
+    largest edge coordinate, so collinear vertices pass and the answer does
+    not depend on the unit.  A polygon of zero size is convex.
     """
     v = np.asarray(vertices, dtype=float)
     d = _next(v) - v
-    d1 = _next(d)
-    cross = d[:, 0] * d1[:, 1] - d[:, 1] * d1[:, 0]
-    scale = float(np.max(np.abs(d))) ** 2 + 1.0
-    return bool(np.all(cross >= -_CONVEX_REL_TOL * scale))
+    scale = float(np.max(np.abs(d))) ** 2
+    return bool(np.all(_turns(d) >= -_CONVEX_REL_TOL * scale))
 
 
 def _sides(points: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -463,13 +508,8 @@ def ellipse_intersection_area(
     """
     v = np.asarray(vertices, dtype=float)
     if v.ndim > 2:
-        # One ellipse per polygon, as columns against the edge axis.  math's
-        # cos and sin, not numpy's, which may differ from them in the last bit.
-        theta = np.asarray(theta, dtype=float)
-        c, s = (
-            np.array([f(t) for t in theta.ravel().tolist()]).reshape(theta.shape + (1,))
-            for f in (math.cos, math.sin)
-        )
+        # One ellipse per polygon, as columns against the edge axis.
+        c, s = (a[..., None] for a in _cos_sin(theta))
         x0, y0, semi_major, semi_minor = (
             np.asarray(p, dtype=float)[..., None] for p in (x0, y0, semi_major, semi_minor)
         )
@@ -506,23 +546,3 @@ def ellipse_intersection_area(
     clamped = np.where(math.pi < clamped, math.pi, clamped)
     clamped = np.where(clamped > 0.0, clamped, 0.0)
     return clamped * semi_major[..., 0] * semi_minor[..., 0]
-
-
-def points_in_polygon(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Even-odd (crossing-number) point-in-polygon test, vectorized over points.
-
-    Edges are treated half-open in y so points on a scanline through a vertex
-    are counted once.
-    """
-    pts = np.asarray(points, dtype=float)
-    v = np.asarray(vertices, dtype=float)
-    v1 = _next(v)
-    x0, y0, x1, y1 = v[:, 0], v[:, 1], v1[:, 0], v1[:, 1]
-
-    px = pts[:, 0][:, None]
-    py = pts[:, 1][:, None]
-    straddles = (y0[None, :] <= py) != (y1[None, :] <= py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xcross = x0[None, :] + (py - y0[None, :]) * (x1 - x0)[None, :] / (y1 - y0)[None, :]
-    hits = straddles & (px < xcross)
-    return np.sum(hits, axis=1) % 2 == 1

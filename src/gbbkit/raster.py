@@ -94,12 +94,12 @@ def shape_bounds(shape: Shape | np.ndarray) -> tuple[float, float, float, float]
 
 
 def _polygon_boundaries(vertices: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Run boundaries of the even-odd fill, matching polygons.points_in_polygon.
+    """Run boundaries of the even-odd fill, matching the test oracle points_in_polygon.
 
     Edge e straddles row r when exactly one of its ends lies at or below the
     row's center (half-open in y).  Its crossing xc flips the cells whose
     centers lie left of it, columns [0, searchsorted(xs, xc, 'left')), which
-    is the point test's `px < xcross`.
+    is the point test's `px < xcross`.  The oracle lives in tests/conftest.py.
     """
     v = np.asarray(vertices, dtype=float)
     v_next = np.concatenate((v[1:], v[:1]))

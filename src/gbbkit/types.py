@@ -55,6 +55,13 @@ class AngleCov:
             )
 
 
+def _require_finite(shape) -> None:
+    """Raise ValueError naming the first field of a box or ellipse that is not finite."""
+    for name, value in vars(shape).items():
+        if not math.isfinite(value):
+            raise ValueError(f"{type(shape).__name__} field {name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Hbb:
     """Axis-aligned box: center (x0, y0), width w, height h."""
@@ -65,6 +72,7 @@ class Hbb:
     h: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.w > 0 and self.h > 0):
             raise ValueError(f"box dimensions must be positive, got w={self.w}, h={self.h}")
 
@@ -80,6 +88,7 @@ class Obb:
     theta: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.w > 0 and self.h > 0):
             raise ValueError(f"box dimensions must be positive, got w={self.w}, h={self.h}")
 
@@ -95,6 +104,7 @@ class Ellipse:
     theta: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.semi_major >= self.semi_minor > 0):
             raise ValueError(
                 "semi-axes must satisfy semi_major >= semi_minor > 0, got "

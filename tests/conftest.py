@@ -103,3 +103,24 @@ def bc_quadrature(p: GaussBox, q: GaussBox) -> float:
         epsrel=1e-9,
     )
     return value
+
+
+def points_in_polygon(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Even-odd (crossing-number) point-in-polygon test, vectorized over points.
+
+    The raster's oracle: raster._polygon_boundaries must fill exactly the
+    cell centers this test accepts.  Edges are treated half-open in y so
+    points on a scanline through a vertex are counted once.
+    """
+    pts = np.asarray(points, dtype=float)
+    v = np.asarray(vertices, dtype=float)
+    v1 = np.roll(v, -1, axis=0)
+    x0, y0, x1, y1 = v[:, 0], v[:, 1], v1[:, 0], v1[:, 1]
+
+    px = pts[:, 0][:, None]
+    py = pts[:, 1][:, None]
+    straddles = (y0[None, :] <= py) != (y1[None, :] <= py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xcross = x0[None, :] + (py - y0[None, :]) * (x1 - x0)[None, :] / (y1 - y0)[None, :]
+    hits = straddles & (px < xcross)
+    return np.sum(hits, axis=1) % 2 == 1

@@ -23,7 +23,6 @@ from gbbkit import (
     similarity,
 )
 from gbbkit.batch import (
-    _box_corners,
     bd_pairs,
     gbb_from_hbb,
     hd_pairs,
@@ -35,7 +34,7 @@ from gbbkit.batch import (
     rect_mask_bc_pairs,
 )
 from gbbkit.gradients import _grad_terms, _l1_factor_at
-from gbbkit.polygons import ellipse_intersection_area
+from gbbkit.polygons import _box_corners, ellipse_intersection_area
 from gbbkit.convert import obb_corners
 from gbbkit.raster import default_cell_size, iou_between
 from gbbkit.regress import VARIANCE_FLOOR, _loss_and_grad
@@ -516,6 +515,6 @@ def test_iou_obb_pairs_nan_where_the_scalar_route_refuses():
     min_size=1, max_size=40,
 ))
 def test_stacked_box_corners_match_obb_corners_to_the_bit(rows):
-    got = _box_corners(np.array(rows))
+    got = _box_corners(*np.array(rows).T)
     for corners, row in zip(got, rows):
         assert corners.tobytes() == obb_corners(Obb(*row)).tobytes()

@@ -61,6 +61,34 @@ class TestConvert:
         code, _, err = run_main(["convert", bad, "gbb"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "shape, target, field",
+        [
+            ({"type": "gbb", "x": 0, "y": 0, "a": 1e308, "b": 1, "c": 0}, "obb", "Obb field w"),
+            (
+                {"type": "polygon",
+                 "vertices": [[-1e308, -1e308], [1e308, -1e308], [1e308, 1e308], [-1e308, 1e308]]},
+                "hbb",
+                "Hbb field w",
+            ),
+        ],
+        ids=["huge-gbb-to-obb", "huge-polygon-to-hbb"],
+    )
+    def test_overflowing_result_exits_2_naming_the_field(self, shape, target, field, capsys):
+        code, out, err = run_main(["convert", json.dumps(shape), target], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {field} must be finite, got inf\n"
+
+    def test_ellipse_output_at_a_quarter_turn_converts_back_to_hbb(self, capsys):
+        gbb = json.dumps({"type": "gbb", "x": 0, "y": 0, "a": 1, "b": 4, "c": 0})
+        code, ellipse, _ = run_main(["convert", gbb, "ellipse"], capsys)
+        assert code == 0 and json.loads(ellipse)["theta"] == math.pi / 2
+        code, out, err = run_main(["convert", ellipse, "hbb"], capsys)
+        assert (code, err) == (0, "")
+        got = json.loads(out)
+        want = (math.sqrt(12), math.sqrt(48))
+        assert (got["w"], got["h"]) == pytest.approx(want, rel=1e-15, abs=0)
+
     def test_non_finite_polygon_vertex_exits_2(self, capsys):
         shape = '{"type": "polygon", "vertices": [[0, 0], [1, 0], [NaN, 1]]}'
         code, _, err = run_main(["convert", shape, "obb"], capsys)

@@ -268,6 +268,16 @@ class TestInverses:
         with pytest.raises(ValueError, match="use obb instead"):
             gbb_to_hbb(GaussBox(0, 0, 2, 1, 0.3))
 
+    @pytest.mark.parametrize("turns", [1, -1, 2, 3])
+    def test_obb_at_a_quarter_turn_converts_to_hbb(self, turns):
+        # cov_from_angles leaves a c of a few ulp of max(a, b) at fl(k pi / 2).
+        box = to_hbb(Obb(1.0, 2.0, 3.0, 1.0, turns * math.pi / 2))
+        w, h = (3.0, 1.0) if turns % 2 == 0 else (1.0, 3.0)
+        assert (box.x0, box.y0) == (1.0, 2.0)
+        assert (box.w, box.h) == pytest.approx((w, h), rel=1e-15, abs=0.0)
+        with pytest.raises(ValueError, match="use obb instead"):
+            to_hbb(Obb(1.0, 2.0, 3.0, 1.0, turns * math.pi / 2 + 1e-9))
+
 
 class TestShapeToGbb:
     def test_dispatch_over_all_shape_types(self):

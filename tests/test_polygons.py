@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import points_in_polygon
 from gbbkit import polygons
 from gbbkit.annotations import SYNTHETIC_PRESETS, generate_synthetic
 from gbbkit.polygons import (
@@ -19,10 +20,10 @@ from gbbkit.polygons import (
     is_convex,
     is_simple,
     min_area_rect,
-    points_in_polygon,
     polygon_moments,
     signed_area,
 )
+from gbbkit.metrics import mask_bc
 from gbbkit.raster import _occupancy_counts, iou_convex
 from gbbkit.types import Ellipse, PolygonMask
 
@@ -683,6 +684,47 @@ def test_intersection_area_matches_raster_oracle(a, b):
     edges = np.concatenate([np.roll(a, -1, axis=0) - a, np.roll(b, -1, axis=0) - b])
     bound = cell * float(np.abs(edges).sum()) + 2 * cell**2 * len(edges)
     assert abs(inter - cells * cell**2) <= bound
+
+
+# Stars, L-shapes and convex polygons on the lattice of sixteenths.  Scaling
+# one by a power of two is exact, so only a rule that depends on the unit
+# could move a result computed from it.
+_SIXTEENTH = 1.0 / 16.0
+
+
+@st.composite
+def _lattice_polygons(draw):
+    kind = draw(st.sampled_from(["star", "l-shape", "convex"]))
+    if kind == "star":
+        n = draw(st.integers(4, 7))
+        outer = draw(st.integers(8, 16))
+        angles = np.arange(2 * n) * (math.pi / n) + draw(st.floats(0.0, math.pi))
+        radii = np.tile([outer, 0.45 * outer], n)
+        poly = np.round(np.column_stack([radii * np.cos(angles), radii * np.sin(angles)]))
+    elif kind == "l-shape":
+        a, d = draw(st.integers(2, 16)), draw(st.integers(2, 16))
+        b, c = draw(st.integers(1, d - 1)), draw(st.integers(1, a - 1))
+        poly = np.array([[0, 0], [a, 0], [a, b], [c, b], [c, d], [0, d]], dtype=float)
+    else:
+        coords = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
+        poly = convex_hull(np.array(draw(st.lists(coords, min_size=3, max_size=10)), dtype=float))
+    assume(len(poly) >= 3 and signed_area(poly) > 0 and is_simple(poly))
+    poly = np.roll(poly, draw(st.integers(0, len(poly) - 1)), axis=0)
+    shift = (draw(st.integers(-8, 8)), draw(st.integers(-8, 8)))
+    return (poly + shift) * _SIXTEENTH
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_lattice_polygons(), _lattice_polygons(), st.integers(-30, 30))
+def test_iou_convex_and_mask_bc_do_not_depend_on_the_unit(a, b, k):
+    def bc(p, q):
+        return mask_bc(PolygonMask(p), PolygonMask(q))
+
+    sa, sb = a * 2.0**k, b * 2.0**k
+    for f in (iou_convex, bc):
+        want = f(a, b)
+        for got in (f(b, a), f(sa, sb), f(sb, sa)):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def _square(half, center=(0.0, 0.0)):

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import points_in_polygon
 from gbbkit import (
     Ellipse, GaussBox, Hbb, Obb, PolygonMask, generate_synthetic, mask_bc, mask_to_obb, to_polygon,
 )
 from gbbkit import raster
 from gbbkit.convert import obb_corners
-from gbbkit.polygons import convex_hull, min_area_rect, points_in_polygon, signed_area
+from gbbkit.polygons import convex_hull, min_area_rect, signed_area
 from gbbkit.raster import (
     RasterGrid,
     _boundaries,
@@ -418,7 +419,7 @@ def test_exact_iou_bounded_by_mask_bc_property(a, b):
 
 
 # Exact agreement with an independent dense reference: the crossing-number
-# point test (polygons.points_in_polygon) and the ellipse quadratic form,
+# point test (conftest.points_in_polygon) and the ellipse quadratic form,
 # evaluated at every cell center of the shared grid.
 def _dense_bits(shape, grid):
     xs, ys = np.meshgrid(grid.x_centers(), grid.y_centers())

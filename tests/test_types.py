@@ -51,6 +51,27 @@ def test_box_rejects_bad_dimensions(w, h):
         Obb(0, 0, w, h, 0.3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda bad: Hbb(bad, 0, 1, 1), "Hbb field x0"),
+        (lambda bad: Hbb(0, 0, bad, 1), "Hbb field w"),
+        (lambda bad: Obb(0, bad, 1, 1, 0.3), "Obb field y0"),
+        (lambda bad: Obb(0, 0, 1, bad, 0.3), "Obb field h"),
+        (lambda bad: Obb(0, 0, 1, 1, bad), "Obb field theta"),
+        (lambda bad: Ellipse(bad, 0, 2, 1, 0.3), "Ellipse field x0"),
+        (lambda bad: Ellipse(0, 0, bad, 1, 0.3), "Ellipse field semi_major"),
+        (lambda bad: Ellipse(0, 0, 2, 1, bad), "Ellipse field theta"),
+    ],
+    ids=["hbb-x0", "hbb-w", "obb-y0", "obb-h", "obb-theta", "ellipse-x0", "ellipse-major",
+         "ellipse-theta"],
+)
+def test_box_and_ellipse_reject_non_finite_fields(make, field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad}$"):
+        make(bad)
+
+
 def test_angle_cov_rejects_nonpositive_variances():
     with pytest.raises(ValueError):
         AngleCov(0.0, 1.0, 0.0)
