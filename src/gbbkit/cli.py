@@ -111,10 +111,11 @@ def parse_shape(obj):
     kind = obj["type"]
     try:
         if kind == "polygon":
-            poly = PolygonMask(_vertices(obj.get("vertices")))
-            if not is_simple(poly.vertices):
+            # Crossing edges first: their net area can look like a clockwise outline.
+            verts = _vertices(obj.get("vertices"))
+            if len(verts) >= 3 and np.isfinite(verts).all() and not is_simple(verts):
                 raise UsageError("polygon edges cross; vertices must outline a simple polygon")
-            return poly
+            return PolygonMask(verts)
         if isinstance(kind, str) and kind in _SHAPE_KEYS:
             cls, keys = _SHAPE_KEYS[kind]
             shape = cls(*(_num(obj, key) for key in keys))
@@ -193,37 +194,28 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    """--n: an integer >= 1, checked before any work is done."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _checked(parse, ok, message: str):
+    """An argparse type: parse(text) when it parses and passes ok, else
+    ArgumentTypeError(message), with {text!r} filled in.  Checked before any
+    work is done."""
+
+    def check(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(message.format(text=text))
+        return value
+
+    return check
 
 
-def _seed(text: str) -> int:
-    """--seed: an integer >= 0, checked before any work is done."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return value
-
-
-def _cell_size(text: str) -> float:
-    """--cell-size: a positive finite float, checked before any input is read."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
+_positive_int = _checked(int, lambda v: v >= 1, "must be a positive integer")
+_seed = _checked(int, lambda v: v >= 0, "must be a non-negative integer")
+_cell_size = _checked(
+    float, lambda v: math.isfinite(v) and v > 0.0, "must be a positive finite number, got {text!r}"
+)
 
 
 def _parse_pair(line: str):

@@ -78,14 +78,17 @@ def gbb_to_angle_cov(g: GaussBox) -> AngleCov:
     sin2 = math.sin(2.0 * theta)
     a_prime = g.a * cos_t * cos_t + g.b * sin_t * sin_t + g.c * sin2
     b_prime = g.a * sin_t * sin_t + g.b * cos_t * cos_t - g.c * sin2
+    return AngleCov(*_canonical_angle(a_prime, b_prime, theta))
 
+
+def _canonical_angle(a_prime: float, b_prime: float, theta: float) -> tuple[float, float, float]:
+    """(a', b', theta) with a theta in [-pi/2, pi/2] moved into [-pi/4, pi/4]
+    by a quarter turn, the two variances swapping with it."""
     if theta > math.pi / 4.0:
-        theta -= math.pi / 2.0
-        a_prime, b_prime = b_prime, a_prime
-    elif theta < -math.pi / 4.0:
-        theta += math.pi / 2.0
-        a_prime, b_prime = b_prime, a_prime
-    return AngleCov(a_prime, b_prime, theta)
+        return b_prime, a_prime, theta - math.pi / 2.0
+    if theta < -math.pi / 4.0:
+        return b_prime, a_prime, theta + math.pi / 2.0
+    return a_prime, b_prime, theta
 
 
 def gbb_to_obb(g: GaussBox) -> Obb:
@@ -142,7 +145,13 @@ def gbb_to_ellipse(g: GaussBox, r: float = DEFAULT_LEVEL_SET_RADIUS) -> Ellipse:
 def ellipse_to_gbb(e: Ellipse) -> GaussBox:
     """Gaussian whose default-radius level set is the ellipse (inverse of gbb_to_ellipse)."""
     r2 = DEFAULT_LEVEL_SET_RADIUS * DEFAULT_LEVEL_SET_RADIUS
-    a, b, c = cov_from_angles(AngleCov(e.semi_major**2 / r2, e.semi_minor**2 / r2, e.theta))
+    try:  # semi_major >= semi_minor, so it is the first square to overflow
+        major2, minor2 = e.semi_major**2, e.semi_minor**2
+    except OverflowError:
+        raise ValueError(
+            f"Ellipse field semi_major is too large to square, got {e.semi_major}"
+        ) from None
+    a, b, c = cov_from_angles(AngleCov(major2 / r2, minor2 / r2, e.theta))
     return GaussBox(e.x0, e.y0, a, b, c)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convert import _moments_to_gbb, gbb_to_ellipse, mask_to_gbb, mask_to_hbb, mask_to_obb
+from .convert import _moments_to_gbb, gbb_to_ellipse
 from .polygons import (
     ellipse_intersection_area,
     intersection_area,
@@ -180,42 +180,30 @@ def fidelity_ious(polys: list[PolygonMask]) -> np.ndarray:
         step = max(1, _FIDELITY_BLOCK_VERTICES // n)
         for start in range(0, len(members), step):
             rows = members[start : start + step]
-            if len(rows) == 1:
-                ious[rows[0]] = _fidelity_row(polys[rows[0]])
-            else:
-                ious[rows] = _fidelity_block(np.array([polys[i].vertices for i in rows]))
+            v = np.array([polys[i].vertices for i in rows])
+            ious[rows] = _fidelity(v[0] if len(rows) == 1 else v)
     return ious
 
 
-def _fidelity_row(poly: PolygonMask) -> tuple[float, float, float]:
-    """fidelity_ious of one polygon, on the one-polygon kernels."""
-    hbb, obb = mask_to_hbb(poly), mask_to_obb(poly)
-    ellipse = gbb_to_ellipse(mask_to_gbb(poly))
-    v = poly.vertices
-    area = signed_area(v - v.min(axis=0))
-    a, b = ellipse.semi_major, ellipse.semi_minor
-    inter = ellipse_intersection_area(v, ellipse.x0, ellipse.y0, a, b, ellipse.theta)
-    box_ious = (min(area, box.w * box.h) / max(area, box.w * box.h) for box in (hbb, obb))
-    return (*box_ious, inter / (area + math.pi * a * b - inter))
-
-
-def _fidelity_block(v: np.ndarray) -> np.ndarray:
-    """fidelity_ious of a (k, n, 2) stack of k > 1 polygons, as a (k, 3) array."""
-    lo = v.min(axis=1)
-    hbb = v.max(axis=1) - lo
-    area = signed_area(v - lo[:, None, :])
+def _fidelity(v: np.ndarray) -> np.ndarray:
+    """fidelity_ious of an (n, 2) polygon or a (k, n, 2) stack, as a (3,) or (k, 3) array."""
+    lo = v.min(axis=-2)
+    hbb = v.max(axis=-2) - lo
+    area = np.asarray(signed_area(v - lo[..., None, :]))
     _, w, h, _ = min_area_rect(v)
     _, mu, cov = polygon_moments(v)
-    ellipses = [gbb_to_ellipse(_moments_to_gbb(m, c)) for m, c in zip(mu, cov)]
+    ellipses = [
+        gbb_to_ellipse(_moments_to_gbb(m, c))
+        for m, c in zip(mu.reshape(-1, 2), cov.reshape(-1, 2, 2))
+    ]
     x0, y0, a, b, theta = np.array(
         [(e.x0, e.y0, e.semi_major, e.semi_minor, e.theta) for e in ellipses]
-    ).T
+    ).T.reshape(5, *area.shape)
     inter = ellipse_intersection_area(v, x0, y0, a, b, theta)
-    boxes = np.column_stack((hbb[:, 0] * hbb[:, 1], w * h))
-    ious = np.empty((len(v), 3))
-    ious[:, :2] = np.minimum(area[:, None], boxes) / np.maximum(area[:, None], boxes)
-    ious[:, 2] = inter / (area + math.pi * a * b - inter)
-    return ious
+    boxes = np.stack((hbb[..., 0] * hbb[..., 1], w * h), axis=-1)
+    box_ious = np.minimum(area[..., None], boxes) / np.maximum(area[..., None], boxes)
+    ellipse_iou = inter / (area + math.pi * a * b - inter)
+    return np.concatenate((box_ious, ellipse_iou[..., None]), axis=-1)
 
 
 __all__ = [

@@ -17,16 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batch import iou_ellipse_pairs
-from .convert import constrained_to_cov, cov_from_angles, gbb_to_angle_cov
+from .convert import _canonical_angle, constrained_to_cov, cov_from_angles, gbb_to_angle_cov
 from .gradients import _grad_terms, _l1_factor_at, grad_general
 from .metrics import _bd_terms, _hellinger, similarity
-from .types import (
-    POSITIVE_DEFINITE_EPS,
-    AngleCov,
-    ConstrainedCovParams,
-    GaussBox,
-    require_valid_gbb,
-)
+from .types import AngleCov, ConstrainedCovParams, GaussBox, require_valid_gbb, validate_gbb
 
 PARAMETRIZATIONS = ("hbb4", "angle5", "constrained5")
 
@@ -221,32 +215,24 @@ class _Parametrization:
             th = v[4]
             if th > math.pi / 4.0 or th < -math.pi / 4.0:
                 th = (th + math.pi / 2.0) % math.pi - math.pi / 2.0
-                if th > math.pi / 4.0:
-                    th -= math.pi / 2.0
-                    v[2], v[3] = v[3], v[2]
-                elif th < -math.pi / 4.0:
-                    th += math.pi / 2.0
-                    v[2], v[3] = v[3], v[2]
-                v[4] = th
+                v[2], v[3], v[4] = _canonical_angle(v[2], v[3], th)
 
 
 def _loss_and_grad(current: GaussBox, target: GaussBox, selector: str):
     """ProbIoU, unweighted loss, and (x, y, a, b, c) gradient, as floats.
 
     The same numbers as similarity and grad_general, with the state checked
-    once, by every condition of validate_gbb; the target is validated by
-    the caller.  A state outside the positive-definite region (possible
-    when an oversized step slams both variances into the floor) reports an
-    infinite loss so the caller aborts instead of raising mid-run.
+    once, by validate_gbb; the target is validated by the caller.  A state
+    outside the positive-definite region (possible when an oversized step
+    slams both variances into the floor) reports an infinite loss so the
+    caller aborts instead of raising mid-run.
     """
-    x0, y0, a, b, c = current.x0, current.y0, current.a, current.b, current.c
-    if not (
-        math.isfinite(x0) and math.isfinite(y0) and math.isfinite(a)
-        and math.isfinite(b) and math.isfinite(c)
-        and a > POSITIVE_DEFINITE_EPS and a * b - c * c > POSITIVE_DEFINITE_EPS
-    ):
+    if not validate_gbb(current)[0]:
         return 0.0, math.inf, (0.0,) * 5
-    args = (x0, y0, a, b, c, target.x0, target.y0, target.a, target.b, target.c)
+    args = (
+        current.x0, current.y0, current.a, current.b, current.c,
+        target.x0, target.y0, target.a, target.b, target.c,
+    )
     b1, b2 = _bd_terms(*args)
     b_d = max(b1 + b2, 0.0)
     h_d = _hellinger(b_d)

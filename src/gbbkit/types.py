@@ -152,12 +152,13 @@ class ConstrainedCovParams:
     c: float
 
 
-def validate_gbb(g: GaussBox, eps: float = POSITIVE_DEFINITE_EPS) -> tuple[bool, str]:
+def validate_gbb(g: GaussBox) -> tuple[bool, str]:
     """Check positive-definiteness of a GaussBox covariance.
 
     Returns (ok, diagnostic); diagnostic is "" when ok.  Uses the leading
-    principal minors: a > eps and a*b - c**2 > eps.
+    principal minors: a > eps and a*b - c**2 > eps, eps = POSITIVE_DEFINITE_EPS.
     """
+    eps = POSITIVE_DEFINITE_EPS
     for name in ("x0", "y0", "a", "b", "c"):
         v = getattr(g, name)
         if not math.isfinite(v):

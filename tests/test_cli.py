@@ -136,6 +136,31 @@ class TestConvert:
         assert out == ""
         assert "polygon edges cross" in err
 
+    @pytest.mark.parametrize(
+        "vertices",
+        [[[0, 0], [1, 1], [1, 0], [0, 1]], [[0, 0], [3, 3], [3, 0], [0, 1]],
+         [[0, 1], [3, 0], [3, 3], [0, 0]]],
+        ids=["zero-net-area", "negative-net-area", "reversed"],
+    )
+    def test_crossing_polygon_reports_the_crossing_whatever_its_net_area(self, vertices, capsys):
+        shape = json.dumps({"type": "polygon", "vertices": vertices})
+        code, out, err = run_main(["convert", shape, "obb"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: polygon edges cross; vertices must outline a simple polygon\n"
+
+    def test_clockwise_simple_polygon_reports_its_orientation(self, capsys):
+        shape = json.dumps({"type": "polygon", "vertices": [[0, 0], [0, 1], [1, 1], [1, 0]]})
+        code, out, err = run_main(["convert", shape, "obb"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: polygon must be counter-clockwise with positive area\n"
+
+    def test_ellipse_too_large_to_square_exits_2_naming_the_field(self, capsys):
+        shape = {"type": "ellipse", "x": 0, "y": 0, "semi_major": 1e200, "semi_minor": 1,
+                 "theta": 0}
+        code, out, err = run_main(["convert", json.dumps(shape), "hbb"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: Ellipse field semi_major is too large to square, got 1e+200\n"
+
     def test_polygon_to_obb(self, capsys):
         shape = json.dumps(
             {"type": "polygon", "vertices": [[0, 0], [4, 0], [4, 2], [0, 2]]}
@@ -256,6 +281,21 @@ class TestScore:
         assert len(read_csv(out_csv)) == 1
         assert "line 1: skipped (polygon edges cross" in err
         assert "scored 1 pairs, skipped 1" in err
+
+    def test_ellipse_too_large_to_square_is_skipped_with_reason(self, tmp_path, capsys):
+        huge = {"type": "ellipse", "x": 0, "y": 0, "semi_major": 1e200, "semi_minor": 1,
+                "theta": 0}
+        box = {"type": "obb", "x": 2, "y": 1, "w": 4, "h": 2, "theta": 0.3}
+        path = self._write_pairs(tmp_path, [json.dumps([box, box]), json.dumps([box, huge]),
+                                            json.dumps([box, box])])
+        out_csv = tmp_path / "scores.csv"
+        code, _, err = run_main(["score", path, "--out", str(out_csv)], capsys)
+        assert code == 0
+        assert [row["iou"] for row in read_csv(out_csv)] == ["1.0", "1.0"]
+        assert err == (
+            "line 2: skipped (Ellipse field semi_major is too large to square, got 1e+200)\n"
+            "scored 2 pairs, skipped 1\n"
+        )
 
     def test_non_finite_metric_skipped_with_reason(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "iou_between", lambda a, b, cell_size: math.nan)
@@ -820,6 +860,19 @@ def _fidelity_corpora(draw):
         hull = convex_hull(rng.normal(size=(int(rng.integers(3, 12)), 2)) * rng.uniform(0.1, 10.0))
         if len(hull) >= 3:
             polys.append(PolygonMask(hull + rng.uniform(-50, 50, 2)))
+    # Over 128 vertices, each polygon is a block of its own.  Fine stars and
+    # dense hulls of points on an ellipse, a few sharing a vertex count.
+    for _ in range(draw(st.integers(0, 4))):
+        n = int(rng.choice([129, 130, int(rng.integers(129, 400))]))
+        angles = (np.arange(n) + rng.uniform(0, 1, n)) * (2 * math.pi / n)
+        radii = rng.uniform(0.8, 1.2, n) * rng.uniform(0.1, 10.0)
+        star = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+        polys.append(PolygonMask(star + rng.uniform(-50, 50, 2)))
+    for _ in range(draw(st.integers(0, 4))):
+        angles = rng.uniform(0, 2 * math.pi, int(rng.integers(140, 400)))
+        circle = np.column_stack([np.cos(angles), np.sin(angles)]) * rng.uniform(0.1, 10.0)
+        hull = convex_hull(circle * rng.uniform(0.5, 2.0, 2))
+        polys.append(PolygonMask(hull + rng.uniform(-50, 50, 2)))
     return [polys[i] for i in rng.permutation(len(polys))]
 
 
@@ -981,7 +1034,7 @@ def test_bad_cell_size_exits_2_before_reading_input(command, value, tmp_path, ca
         main([command, missing, "--cell-size", value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "argument --cell-size: must be a positive finite number" in err
+    assert f"argument --cell-size: must be a positive finite number, got {value!r}\n" in err
     assert "skipped" not in err
 
 

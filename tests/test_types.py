@@ -39,8 +39,6 @@ class TestValidateGbb:
         eps = POSITIVE_DEFINITE_EPS
         assert not validate_gbb(GaussBox(0, 0, 1.0, eps, 0))[0]
         assert validate_gbb(GaussBox(0, 0, 1.0, math.nextafter(eps, math.inf), 0))[0]
-        assert validate_gbb(GaussBox(0, 0, 1, 1, 0), eps=0.5)[0]
-        assert not validate_gbb(GaussBox(0, 0, 0.4, 1, 0), eps=0.5)[0]
 
 
 @pytest.mark.parametrize("w,h", [(0, 1), (-1, 1), (1, 0)])
