@@ -36,10 +36,8 @@ from .metrics import (
     BhattacharyyaTerms,
     SimilarityReport,
     bhattacharyya_terms,
-    loss_l2_axis_aligned,
     fidelity_ious,
     mask_bc,
-    mask_probiou,
     similarity,
 )
 from .raster import (
@@ -52,11 +50,9 @@ from .raster import (
 from .regress import (
     FitStep,
     FitTrajectory,
-    GradientProbe,
     LossSchedule,
     OptimizerConfig,
     fit_gbb,
-    gradient_probe,
     schedule_loss,
 )
 from .types import (
@@ -86,7 +82,7 @@ __all__ = [
     "r_from_tau", "tau_from_r", "constrained_to_cov", "DEFAULT_LEVEL_SET_RADIUS",
     # metrics
     "BhattacharyyaTerms", "SimilarityReport", "bhattacharyya_terms",
-    "similarity", "loss_l2_axis_aligned", "mask_bc", "mask_probiou", "fidelity_ious",
+    "similarity", "mask_bc", "fidelity_ious",
     # gradients
     "HbbGradient", "grad_l2_hbb", "grad_l1_hbb", "grad_general",
     # raster
@@ -95,7 +91,7 @@ __all__ = [
     "iou_ellipse_pairs",
     # regression harness
     "LossSchedule", "OptimizerConfig", "FitStep", "FitTrajectory",
-    "GradientProbe", "schedule_loss", "fit_gbb", "gradient_probe",
+    "schedule_loss", "fit_gbb",
     # annotations
     "AnnotationRecord", "IngestResult", "ingest_annotations", "generate_synthetic",
 ]

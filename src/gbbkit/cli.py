@@ -352,6 +352,10 @@ def cmd_scatter(args) -> int:
 
 def cmd_fidelity(args) -> int:
     if args.annotations is not None:
+        # --n and --seed draw the synthetic corpus; a file has no use for them.
+        for flag, value in (("--n", args.n), ("--seed", args.seed)):
+            if value is not None:
+                raise UsageError(f"argument {flag}: not allowed with argument --annotations")
         result = ingest_annotations(args.annotations)
         records = result.records
         if result.skipped_multipart or result.skipped_malformed:
@@ -361,7 +365,9 @@ def cmd_fidelity(args) -> int:
                 file=sys.stderr,
             )
     else:
-        records = generate_synthetic(args.synthetic, args.n, args.seed)
+        # Without the flags: 1000 shapes per category, seed 7.
+        seed = 7 if args.seed is None else args.seed
+        records = generate_synthetic(args.synthetic, args.n or 1000, seed)
     if not records:
         print("error: no usable annotations", file=sys.stderr)
         return EXIT_RUNTIME
@@ -483,10 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="default",
         help="synthetic corpus preset (used when --annotations is absent)",
     )
-    p.add_argument(
-        "--n", type=_positive_int, default=1000, help="synthetic shapes per category"
-    )
-    p.add_argument("--seed", type=_seed, default=7)
+    p.add_argument("--n", type=_positive_int, help="synthetic shapes per category")
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out", help="output CSV path (default stdout)")
 
     p = sub.add_parser("regress", help="run a two-stage fit from a JSON config")

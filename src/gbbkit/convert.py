@@ -54,10 +54,18 @@ def cov_from_angles(ac: AngleCov) -> tuple[float, float, float]:
     return a, b, c
 
 
+def _variance(shape, name: str, value: float) -> float:
+    """value, a variance from the shape's field `name`, unless it underflowed to 0."""
+    if value == 0.0:
+        kind, field = type(shape).__name__, getattr(shape, name)
+        raise ValueError(f"{kind} field {name} is too small to square, got {field}")
+    return value
+
+
 def obb_to_gbb(box: Obb) -> GaussBox:
     """Oriented box to its moment-matched Gaussian (rotated covariance)."""
-    ac = AngleCov(box.w * box.w / 12.0, box.h * box.h / 12.0, box.theta)
-    a, b, c = cov_from_angles(ac)
+    w2, h2 = _variance(box, "w", box.w * box.w / 12.0), _variance(box, "h", box.h * box.h / 12.0)
+    a, b, c = cov_from_angles(AngleCov(w2, h2, box.theta))
     return GaussBox(box.x0, box.y0, a, b, c)
 
 
@@ -151,7 +159,9 @@ def ellipse_to_gbb(e: Ellipse) -> GaussBox:
         raise ValueError(
             f"Ellipse field semi_major is too large to square, got {e.semi_major}"
         ) from None
-    a, b, c = cov_from_angles(AngleCov(major2 / r2, minor2 / r2, e.theta))
+    # semi_minor <= semi_major, so it is the first square to underflow.
+    minor_var = _variance(e, "semi_minor", minor2 / r2)
+    a, b, c = cov_from_angles(AngleCov(major2 / r2, minor_var, e.theta))
     return GaussBox(e.x0, e.y0, a, b, c)
 
 

@@ -27,8 +27,6 @@ from .polygons import (
 )
 from .types import GaussBox, PolygonMask, require_valid_gbb
 
-LN2 = math.log(2.0)
-
 # Most vertices fidelity_ious stacks into one block.  Each of the block's
 # few dozen temporaries then holds a couple of KB, whatever the corpus size.
 _FIDELITY_BLOCK_VERTICES = 256
@@ -118,21 +116,6 @@ def _hellinger(b_d: float) -> float:
     return math.sqrt(max(0.0, -math.expm1(-b_d)))
 
 
-def loss_l2_axis_aligned(p: GaussBox, q: GaussBox) -> float:
-    """Bhattacharyya distance for diagonal covariances, offset by -ln 2.
-
-    Valid only for c1 = c2 = 0.  The constant offset does not affect
-    gradients, so the value equals similarity(p, q).b_d - ln 2 and the
-    minimum at p == q is -ln 2.
-    """
-    require_valid_gbb(p)
-    require_valid_gbb(q)
-    if p.c != 0.0 or q.c != 0.0:
-        raise ValueError("axis-aligned loss requires diagonal covariances (c == 0)")
-    b1, b2 = _bd_terms(p.x0, p.y0, p.a, p.b, p.c, q.x0, q.y0, q.a, q.b, q.c)
-    return b1 + b2 - LN2
-
-
 def mask_bc(m1: PolygonMask, m2: PolygonMask) -> float:
     """Bhattacharyya coefficient of two masks viewed as uniform densities.
 
@@ -143,15 +126,6 @@ def mask_bc(m1: PolygonMask, m2: PolygonMask) -> float:
     area2 = signed_area(m2.vertices)
     inter = intersection_area(m1.vertices, m2.vertices)
     return min(inter / math.sqrt(area1 * area2), 1.0)
-
-
-def mask_probiou(m1: PolygonMask, m2: PolygonMask) -> float:
-    """Hellinger-based similarity of two uniform masks: 1 - sqrt(1 - mask_bc).
-
-    Zero for disjoint masks, so as a loss it shares the plateau problem of
-    the plain IoU.
-    """
-    return 1.0 - math.sqrt(max(0.0, 1.0 - mask_bc(m1, m2)))
 
 
 def fidelity_ious(polys: list[PolygonMask]) -> np.ndarray:
@@ -207,13 +181,10 @@ def _fidelity(v: np.ndarray) -> np.ndarray:
 
 
 __all__ = [
-    "LN2",
     "BhattacharyyaTerms",
     "SimilarityReport",
     "bhattacharyya_terms",
     "similarity",
-    "loss_l2_axis_aligned",
     "mask_bc",
-    "mask_probiou",
     "fidelity_ious",
 ]

@@ -18,8 +18,8 @@ import numpy as np
 
 from .batch import iou_ellipse_pairs
 from .convert import _canonical_angle, constrained_to_cov, cov_from_angles, gbb_to_angle_cov
-from .gradients import _grad_terms, _l1_factor_at, grad_general
-from .metrics import _bd_terms, _hellinger, similarity
+from .gradients import _grad_terms, _l1_factor_at
+from .metrics import _bd_terms, _hellinger
 from .types import AngleCov, ConstrainedCovParams, GaussBox, require_valid_gbb, validate_gbb
 
 PARAMETRIZATIONS = ("hbb4", "angle5", "constrained5")
@@ -112,17 +112,6 @@ class FitTrajectory:
 
     def final(self) -> FitStep:
         return self.steps[-1]
-
-
-@dataclass(frozen=True)
-class GradientProbe:
-    """Gradient norms of both losses plus overlap measures for one pair."""
-
-    norm_l2_grad: float
-    norm_l1_grad: float
-    iou: float
-    prob_iou: float
-    l1_singular: bool = False
 
 
 def schedule_loss(step: int, schedule: LossSchedule) -> tuple[str, float]:
@@ -306,25 +295,6 @@ def fit_gbb(
     return FitTrajectory(steps)
 
 
-def gradient_probe(p: GaussBox, q: GaussBox) -> GradientProbe:
-    """Gradient norms of both (unweighted) losses plus IoU and ProbIoU.
-
-    Far-apart pairs show a large L2 norm but an underflowed L1 norm;
-    well-overlapping pairs show the opposite ordering.  At p == q the L1
-    gradient is reported as zero with the singular flag set.  IoU is the
-    exact IoU of the two default level-set ellipses.
-    """
-    require_valid_gbb(p)
-    require_valid_gbb(q)
-    report = similarity(p, q)
-    norm_l2 = float(np.linalg.norm(grad_general(p, q, "l2")))
-    iou = float(iou_ellipse_pairs(_rows([p]), _rows([q]))[0])
-    if report.b_d == 0.0:
-        return GradientProbe(norm_l2, 0.0, iou, report.prob_iou, True)
-    norm_l1 = float(np.linalg.norm(grad_general(p, q, "l1")))
-    return GradientProbe(norm_l2, norm_l1, iou, report.prob_iou)
-
-
 __all__ = [
     "PARAMETRIZATIONS",
     "VARIANCE_FLOOR",
@@ -332,8 +302,6 @@ __all__ = [
     "OptimizerConfig",
     "FitStep",
     "FitTrajectory",
-    "GradientProbe",
     "schedule_loss",
     "fit_gbb",
-    "gradient_probe",
 ]

@@ -166,6 +166,8 @@ def validate_gbb(g: GaussBox) -> tuple[bool, str]:
     if not g.a > eps:
         return False, f"a must exceed {eps} (got {g.a})"
     det = g.a * g.b - g.c * g.c
+    if math.isnan(det):
+        return False, "a*b - c^2 overflows (a*b and c^2 are both inf)"
     if not det > eps:
         return False, f"a*b - c^2 must exceed {eps} (got {det})"
     return True, ""

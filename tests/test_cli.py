@@ -161,6 +161,29 @@ class TestConvert:
         assert (code, out) == (2, "")
         assert err == "error: Ellipse field semi_major is too large to square, got 1e+200\n"
 
+    @pytest.mark.parametrize(
+        "shape, field",
+        [
+            ({"type": "ellipse", "x": 0, "y": 0, "semi_major": 1, "semi_minor": 1e-200,
+              "theta": 0}, "Ellipse field semi_minor is too small to square, got 1e-200"),
+            ({"type": "obb", "x": 0, "y": 0, "w": 1, "h": 1e-170, "theta": 0},
+             "Obb field h is too small to square, got 1e-170"),
+        ],
+        ids=["ellipse-semi-minor", "obb-h"],
+    )
+    def test_square_underflow_exits_2_naming_the_field(self, shape, field, capsys):
+        code, out, err = run_main(["convert", json.dumps(shape), "gbb"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {field}\n"
+
+    def test_determinant_overflow_exits_2_saying_so(self, capsys):
+        # Finite covariance entries whose products a*b and c^2 both overflow.
+        shape = {"type": "ellipse", "x": 0, "y": 0, "semi_major": 1e154, "semi_minor": 1e-154,
+                 "theta": 0.3}
+        code, out, err = run_main(["convert", json.dumps(shape), "gbb"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: invalid GaussBox: a*b - c^2 overflows (a*b and c^2 are both inf)\n"
+
     def test_polygon_to_obb(self, capsys):
         shape = json.dumps(
             {"type": "polygon", "vertices": [[0, 0], [4, 0], [4, 2], [0, 2]]}
@@ -753,6 +776,29 @@ class TestFidelity:
         assert all(len(row) == 5 for row in rows)
         assert [row[0] for row in rows[1:]] == sorted(names) + ["overall"]
         assert out.read_text().splitlines()[-1].startswith("overall,")
+
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [(["--n", "5"], "--n"), (["--seed", "3"], "--seed"), (["--n", "5", "--seed", "3"], "--n")],
+        ids=["n", "seed", "both"],
+    )
+    def test_corpus_flags_with_annotations_exit_2_before_reading(
+        self, flags, flag, tmp_path, capsys
+    ):
+        # The file does not exist: reading it would exit 1.
+        out = tmp_path / "f.csv"
+        argv = ["fidelity", "--annotations", str(tmp_path / "none.json"), *flags, "--out", str(out)]
+        code, stdout, err = run_main(argv, capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: argument {flag}: not allowed with argument --annotations\n"
+        assert not out.exists()
+
+    def test_synthetic_corpus_defaults_to_n_1000_and_seed_7(self, capsys):
+        default = run_main(["fidelity", "--synthetic", "axis-rect"], capsys)
+        explicit = run_main(["fidelity", "--synthetic", "axis-rect", "--n", "1000", "--seed", "7"],
+                            capsys)
+        assert default == explicit
+        assert default[0] == 0 and ",1000\n" in default[1]
 
     def test_zero_usable_annotations_exit_1(self, tmp_path, capsys):
         path = tmp_path / "coco.json"

@@ -8,13 +8,10 @@ from gbbkit import (
     GaussBox,
     PolygonMask,
     bhattacharyya_terms,
-    loss_l2_axis_aligned,
     mask_bc,
-    mask_probiou,
     similarity,
 )
-from gbbkit.batch import hd_pairs
-from gbbkit.metrics import LN2
+from gbbkit.batch import hd_pairs, mask_prob_iou_pairs
 from gbbkit.polygons import convex_hull, intersection_area, signed_area
 
 UNIT = GaussBox(0, 0, 1, 1, 0)
@@ -151,37 +148,17 @@ class TestSimilarity:
         assert np.all(d_pr <= d_pq + d_qr + 1e-12)
 
 
-class TestAxisAlignedLoss:
-    def test_identical_gives_minus_ln2(self):
-        assert loss_l2_axis_aligned(UNIT, UNIT) == pytest.approx(-LN2, rel=1e-12)
-
-    def test_translated_pair(self):
-        assert loss_l2_axis_aligned(UNIT, SHIFTED) == pytest.approx(0.5 - LN2, rel=1e-12)
-
-    def test_offset_identity_sweep(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10_000):
-            p = GaussBox(rng.uniform(-3, 3), rng.uniform(-3, 3),
-                         rng.uniform(0.1, 4), rng.uniform(0.1, 4), 0.0)
-            q = GaussBox(rng.uniform(-3, 3), rng.uniform(-3, 3),
-                         rng.uniform(0.1, 4), rng.uniform(0.1, 4), 0.0)
-            general = similarity(p, q).b_d
-            assert abs(loss_l2_axis_aligned(p, q) - (general - LN2)) < 1e-12
-
-    def test_rejects_correlated_input(self):
-        with pytest.raises(ValueError):
-            loss_l2_axis_aligned(GaussBox(0, 0, 1, 1, 0.1), UNIT)
-
-
 class TestMaskMetrics:
     def test_identical_masks(self):
         sq = square_mask(0, 0)
         assert mask_bc(sq, sq) == pytest.approx(1.0, abs=1e-12)
-        assert mask_probiou(sq, sq) == pytest.approx(1.0, abs=1e-9)
+        assert mask_prob_iou_pairs(mask_bc(sq, sq)) == pytest.approx(1.0, abs=1e-9)
 
     def test_disjoint_masks(self):
-        assert mask_bc(square_mask(0, 0), square_mask(5, 0)) == 0.0
-        assert mask_probiou(square_mask(0, 0), square_mask(5, 0)) == 0.0
+        bc = mask_bc(square_mask(0, 0), square_mask(5, 0))
+        assert bc == 0.0
+        # The plateau that ProbIoU on masks shares with the plain IoU.
+        assert mask_prob_iou_pairs(bc) == 0.0
 
     def test_half_overlap_squares(self):
         a = square_mask(0, 0)
@@ -190,7 +167,7 @@ class TestMaskMetrics:
         assert bc == pytest.approx(0.5, abs=1e-12)
         iou = 0.5 / 1.5
         assert bc >= iou
-        assert mask_probiou(a, b) == pytest.approx(1 - math.sqrt(0.5), rel=1e-12)
+        assert mask_prob_iou_pairs(bc) == pytest.approx(1 - math.sqrt(0.5), rel=1e-12)
 
     def test_bc_at_least_iou_on_random_convex_masks(self):
         rng = np.random.default_rng(9)

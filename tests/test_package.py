@@ -37,3 +37,37 @@ def test_lower_layers_import_neither_raster_nor_cli(name):
     imported = _imported_modules(Path(gbbkit.__file__).parent / f"{name}.py")
     upper = {"gbbkit.raster", "gbbkit.cli"}
     assert {m for m in imported if ".".join(m.split(".")[:2]) in upper} == set()
+
+
+# Exported names allowed to have no caller in the library, perfbench or the
+# acceptance module, each with its reason.
+UNCALLED_EXPORTS = {
+    # The exact Bhattacharyya coefficient of two uniform masks: an overlap
+    # kernel of its own, not a one-line combination of other public names.
+    "mask_bc",
+}
+
+
+def _referenced_names(path):
+    """Names a source file reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_exported_name_has_a_caller():
+    # No public name exists only for tests: each is read somewhere in the
+    # library itself, in perfbench or in the acceptance module.
+    package = Path(gbbkit.__file__).parent
+    repo = Path(__file__).resolve().parents[1]
+    sources = [path for path in package.glob("*.py") if path.name != "__init__.py"]
+    sources += [*(repo / "perfbench").glob("*.py"), repo / "tests" / "test_acceptance.py"]
+    called = set().union(*map(_referenced_names, sources))
+    uncalled = set(gbbkit.__all__) - called
+    assert sorted(uncalled - UNCALLED_EXPORTS) == []
+    # An entry whose name gained a caller leaves the list.
+    assert sorted(UNCALLED_EXPORTS - uncalled) == []

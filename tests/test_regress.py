@@ -9,7 +9,7 @@ from gbbkit import (
     LossSchedule,
     OptimizerConfig,
     fit_gbb,
-    gradient_probe,
+    grad_general,
     hbb_to_gbb,
     iou_ellipse_pairs,
     schedule_loss,
@@ -276,34 +276,43 @@ class TestChainedGradients:
             assert np.max(np.abs(got - want)) / scale < 1e-5
 
 
+def _ellipse_iou(p, q):
+    """Exact IoU of the two default level-set ellipses."""
+    return iou_ellipse_pairs(*(np.array([(g.x0, g.y0, g.a, g.b, g.c)]) for g in (p, q)))[0]
+
+
 class TestGradientProbe:
+    # The two losses' regimes, read from grad_general, similarity and the
+    # exact ellipse IoU.
+
     def test_identical_pair(self):
         g = UNIT_AT(0.0)
-        probe = gradient_probe(g, g)
-        assert probe.norm_l2_grad == 0.0
-        assert probe.norm_l1_grad == 0.0
-        assert probe.l1_singular
-        assert probe.iou == 1.0
-        assert probe.prob_iou == 1.0
+        assert np.linalg.norm(grad_general(g, g, "l2")) == 0.0
+        with pytest.raises(ValueError, match="singular"):
+            grad_general(g, g, "l1")
+        assert _ellipse_iou(g, g) == 1.0
+        assert similarity(g, g).prob_iou == 1.0
 
     def test_far_pair_regime(self):
-        probe = gradient_probe(UNIT_AT(0.0), UNIT_AT(100.0))
-        assert probe.norm_l1_grad < 1e-8
-        assert probe.norm_l2_grad > 1.0
-        assert probe.iou == 0.0
-        assert probe.prob_iou < 1e-6
+        p, q = UNIT_AT(0.0), UNIT_AT(100.0)
+        assert np.linalg.norm(grad_general(p, q, "l1")) < 1e-8
+        assert np.linalg.norm(grad_general(p, q, "l2")) > 1.0
+        assert _ellipse_iou(p, q) == 0.0
+        assert similarity(p, q).prob_iou < 1e-6
 
     def test_overlapping_pair_regime(self):
-        # Boxes overlapping at raster IoU ~0.74: the bounded loss now has the
+        # Boxes overlapping at IoU ~0.83: the bounded loss now has the
         # larger gradient.
         p = hbb_to_gbb(Hbb(0.0, 0.0, 2.0, 2.0))
         q = hbb_to_gbb(Hbb(0.17, 0.0, 2.0, 2.0))
-        probe = gradient_probe(p, q)
-        assert 0.5 < probe.iou < 0.95
-        assert probe.norm_l1_grad > probe.norm_l2_grad
-        assert not probe.l1_singular
+        assert 0.5 < _ellipse_iou(p, q) < 0.95
+        assert np.linalg.norm(grad_general(p, q, "l1")) > np.linalg.norm(grad_general(p, q, "l2"))
 
     def test_matches_similarity(self):
+        # The fit step's ProbIoU and both losses are similarity's numbers.
+        from gbbkit.regress import _loss_and_grad
+
         p, q = UNIT_AT(0.0), UNIT_AT(0.5)
-        probe = gradient_probe(p, q)
-        assert probe.prob_iou == similarity(p, q).prob_iou
+        rep = similarity(p, q)
+        assert _loss_and_grad(p, q, "l2")[:2] == (rep.prob_iou, rep.b_d)
+        assert _loss_and_grad(p, q, "l1")[:2] == (rep.prob_iou, rep.h_d)
