@@ -404,13 +404,13 @@ def _config_section(cfg: dict, key: str, cls, allowed: tuple[str, ...]):
 
 
 def _regress_summary(traj: FitTrajectory) -> dict:
-    prob = [s.prob_iou for s in traj.steps]
+    prob = traj.prob_iou.tolist()
     steps_to_09 = next((i for i, v in enumerate(prob) if v >= 0.9), None)
     stalled = None
-    if all(s.grad_norm < 1e-8 for s in traj.steps) and traj.steps[-1].prob_iou < 0.9:
+    if (traj.grad_norm < 1e-8).all() and prob[-1] < 0.9:
         stalled = "stalled: gradient underflow"
     return {
-        "final_prob_iou": traj.steps[-1].prob_iou,
+        "final_prob_iou": prob[-1],
         "steps_to_0_9": steps_to_09,
         "stalled": stalled,
         "aborted": traj.aborted,
@@ -439,11 +439,9 @@ def cmd_regress(args) -> int:
     )
 
     traj = fit_gbb(target, init, schedule, opt)
-    # Every FitStep value is a Python float already.
-    lines = (
-        f"{i},{s.loss!r},{s.grad_norm!r},{s.prob_iou!r},{s.iou!r}\n"
-        for i, s in enumerate(traj.steps)
-    )
+    # tolist gives Python floats, whose repr is the CSV's text.
+    columns = zip(*(c.tolist() for c in (traj.loss, traj.grad_norm, traj.prob_iou, traj.iou)))
+    lines = (f"{i},{l!r},{g!r},{p!r},{u!r}\n" for i, (l, g, p, u) in enumerate(columns))
     _write_lines(args.out, ["step", "loss", "grad_norm", "prob_iou", "iou"], lines)
     json.dump(_regress_summary(traj), sys.stdout)
     sys.stdout.write("\n")

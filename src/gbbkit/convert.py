@@ -277,11 +277,15 @@ def constrained_to_cov(p: ConstrainedCovParams) -> tuple[float, float, float]:
     always positive-definite.  alpha and beta are clamped to +/-EXP_CLAMP
     before exponentiation.
     """
-    alpha = min(max(p.alpha, -EXP_CLAMP), EXP_CLAMP)
-    beta = min(max(p.beta, -EXP_CLAMP), EXP_CLAMP)
+    return _constrained_to_cov(p.alpha, p.beta, p.c)
+
+
+def _constrained_to_cov(alpha: float, beta: float, c: float) -> tuple[float, float, float]:
+    """constrained_to_cov of the three floats (alpha, beta, c)."""
+    alpha = min(max(alpha, -EXP_CLAMP), EXP_CLAMP)
+    beta = min(max(beta, -EXP_CLAMP), EXP_CLAMP)
     a = math.exp(alpha)
-    b = p.c * p.c / a + math.exp(beta)
-    return a, b, p.c
+    return a, c * c / a + math.exp(beta), c
 
 
 __all__ = [

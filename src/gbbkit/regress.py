@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .batch import iou_ellipse_pairs
-from .convert import _canonical_angle, constrained_to_cov, cov_from_angles, gbb_to_angle_cov
+from .convert import _canonical_angle, _constrained_to_cov, cov_from_angles, gbb_to_angle_cov
 from .gradients import _grad_terms, _l1_factor_at
 from .metrics import _bd_terms, _hellinger
-from .types import AngleCov, ConstrainedCovParams, GaussBox, require_valid_gbb, validate_gbb
+from .types import AngleCov, GaussBox, _gbb_problem, require_valid_gbb
 
 PARAMETRIZATIONS = ("hbb4", "angle5", "constrained5")
 
@@ -30,7 +31,7 @@ VARIANCE_FLOOR = 1e-9
 # States per batched ellipse-IoU call in the fit log: a call has a fixed
 # cost of a few hundred microseconds, and its temporaries grow with the
 # block, so blocks keep both small.
-_LOG_BLOCK = 64
+_LOG_BLOCK = 128
 
 
 def _require_number(name: str, value, kind=numbers.Real) -> None:
@@ -103,12 +104,27 @@ class FitStep:
     iou: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitTrajectory:
-    """Per-step records (initial state included); aborted explains truncation."""
+    """A fit's records as columns, initial state first; aborted explains
+    truncation.
 
-    steps: list[FitStep] = field(default_factory=list)
+    Row i of the (n, 5) states array is state i's (x0, y0, a, b, c), and
+    entry i of each (n,) column is its diagnostic.  steps is the same
+    records as FitSteps, built on first access.
+    """
+
+    states: np.ndarray
+    loss: np.ndarray
+    grad_norm: np.ndarray
+    prob_iou: np.ndarray
+    iou: np.ndarray
     aborted: str | None = None
+
+    @cached_property
+    def steps(self) -> list[FitStep]:
+        columns = (c.tolist() for c in (self.loss, self.grad_norm, self.prob_iou, self.iou))
+        return [FitStep(GaussBox(*row), *rest) for row, *rest in zip(self.states.tolist(), *columns)]
 
     def final(self) -> FitStep:
         return self.steps[-1]
@@ -126,13 +142,8 @@ def schedule_loss(step: int, schedule: LossSchedule) -> tuple[str, float]:
     return "l1", schedule.omega1
 
 
-def _rows(gs) -> np.ndarray:
-    """(n, 5) parameter rows of GaussBoxes, for the batch kernels."""
-    return np.array([(g.x0, g.y0, g.a, g.b, g.c) for g in gs], dtype=float)
-
-
 class _Parametrization:
-    """Maps harness vectors to GaussBoxes and chains gradients back."""
+    """Maps harness vectors to (x0, y0, a, b, c) states and chains gradients back."""
 
     def __init__(self, kind: str, init: GaussBox):
         self.kind = kind
@@ -154,15 +165,13 @@ class _Parametrization:
             )
         self.vec = [float(v) for v in vec]
 
-    def gauss_box(self) -> GaussBox:
+    def state(self) -> tuple[float, ...]:
         v = self.vec
         if self.kind == "hbb4":
-            return GaussBox(v[0], v[1], v[2], v[3], 0.0)
+            return v[0], v[1], v[2], v[3], 0.0
         if self.kind == "angle5":
-            a, b, c = cov_from_angles(AngleCov(v[2], v[3], v[4]))
-            return GaussBox(v[0], v[1], a, b, c)
-        a, b, c = constrained_to_cov(ConstrainedCovParams(v[2], v[3], v[4]))
-        return GaussBox(v[0], v[1], a, b, c)
+            return (v[0], v[1], *cov_from_angles(AngleCov(v[2], v[3], v[4])))
+        return (v[0], v[1], *_constrained_to_cov(v[2], v[3], v[4]))
 
     def chain_gradient(self, grad_abc) -> tuple[float, ...]:
         """Pull a (x, y, a, b, c) gradient back into this update space."""
@@ -207,21 +216,19 @@ class _Parametrization:
                 v[2], v[3], v[4] = _canonical_angle(v[2], v[3], th)
 
 
-def _loss_and_grad(current: GaussBox, target: GaussBox, selector: str):
-    """ProbIoU, unweighted loss, and (x, y, a, b, c) gradient, as floats.
+def _loss_and_grad(state: tuple, target: tuple, selector: str):
+    """ProbIoU, unweighted loss, and (x, y, a, b, c) gradient, as floats,
+    of two (x0, y0, a, b, c) tuples.
 
     The same numbers as similarity and grad_general, with the state checked
-    once, by validate_gbb; the target is validated by the caller.  A state
-    outside the positive-definite region (possible when an oversized step
-    slams both variances into the floor) reports an infinite loss so the
-    caller aborts instead of raising mid-run.
+    once, by validate_gbb's rule; the target is validated by the caller.  A
+    state outside the positive-definite region (possible when an oversized
+    step slams both variances into the floor) reports an infinite loss so
+    the caller aborts instead of raising mid-run.
     """
-    if not validate_gbb(current)[0]:
+    if _gbb_problem(*state):
         return 0.0, math.inf, (0.0,) * 5
-    args = (
-        current.x0, current.y0, current.a, current.b, current.c,
-        target.x0, target.y0, target.a, target.b, target.c,
-    )
+    args = (*state, *target)
     b1, b2 = _bd_terms(*args)
     b_d = max(b1 + b2, 0.0)
     h_d = _hellinger(b_d)
@@ -244,55 +251,50 @@ def fit_gbb(
 ) -> FitTrajectory:
     """Fit a GaussBox to a target by clipped gradient descent.
 
-    Records total_steps + 1 states (initial state first).  Each record
-    carries the weighted stage loss and gradient norm at that state, plus
-    ProbIoU and the exact IoU of the two default level-set ellipses.  A
-    non-finite loss or gradient aborts the run, returning the trajectory so
-    far with the abort reason.  The logged IoU never steers the fit; it is
-    computed for blocks of _LOG_BLOCK states at a time.
+    Records total_steps + 1 states (initial state first) as the columns of
+    a FitTrajectory: each state's five floats, the weighted stage loss and
+    gradient norm at that state, plus ProbIoU and the exact IoU of the two
+    default level-set ellipses.  A non-finite loss or gradient aborts the
+    run, returning the trajectory so far with the abort reason.  The logged
+    IoU never steers the fit; it is computed after the loop, over the
+    states array, _LOG_BLOCK rows at a time.
     """
     require_valid_gbb(target)
     require_valid_gbb(init)
     param = _Parametrization(opt.parametrization, init)
-    target_row = _rows([target])
-
-    steps: list[FitStep] = []
-    pending: list[tuple[GaussBox, float, float, float]] = []
-
-    def log_pending():
-        if pending:
-            states = _rows(s[0] for s in pending)
-            ious = iou_ellipse_pairs(states, np.broadcast_to(target_row, states.shape))
-            steps.extend(FitStep(*s, iou) for s, iou in zip(pending, ious.tolist()))
-            pending.clear()
+    goal = (target.x0, target.y0, target.a, target.b, target.c)
+    last = schedule.total_steps
+    states = np.empty((last + 1, 5))
+    loss, grad_norm, prob_iou = np.empty(last + 1), np.empty(last + 1), np.empty(last + 1)
+    aborted = None
 
     clip = opt.grad_clip
-    for step in range(schedule.total_steps + 1):
-        selector, weight = schedule_loss(min(step, schedule.total_steps - 1), schedule)
-        current = param.gauss_box()
-        prob_iou, loss, grad_abc = _loss_and_grad(current, target, selector)
+    for step in range(last + 1):
+        selector, weight = schedule_loss(min(step, last - 1), schedule)
+        state = states[step] = param.state()
+        prob, step_loss, grad_abc = _loss_and_grad(state, goal, selector)
         grad_vec = [weight * g for g in param.chain_gradient(grad_abc)]
-        if not (math.isfinite(loss) and all(map(math.isfinite, grad_vec))):
-            log_pending()
-            steps.append(FitStep(current, math.inf, math.inf, 0.0, 0.0))
-            return FitTrajectory(
-                steps,
-                aborted=f"non-finite loss or gradient at step {step}; reduce step_size",
-            )
+        if not (math.isfinite(step_loss) and all(map(math.isfinite, grad_vec))):
+            loss[step], grad_norm[step], prob_iou[step] = math.inf, math.inf, 0.0
+            aborted = f"non-finite loss or gradient at step {step}; reduce step_size"
+            break
         # The logged norm keeps np.linalg.norm's bits: the square root of the
         # BLAS ddot, which OpenBLAS sums as a chain of fused multiply-adds.
         # So grad_norm, and with it the regress goldens, depends on the BLAS.
         # On 200,000 random 4- and 5-vectors a Python sum of squares gave
         # other last bits on 21,738 and math.hypot on 37,595.
         arr = np.array(grad_vec)
-        pending.append((current, weight * loss, math.sqrt(arr.dot(arr)), prob_iou))
-        if len(pending) == _LOG_BLOCK:
-            log_pending()
-        if step == schedule.total_steps:
-            break
-        param.apply_update([opt.step_size * min(max(g, -clip), clip) for g in grad_vec])
-    log_pending()
-    return FitTrajectory(steps)
+        loss[step], grad_norm[step], prob_iou[step] = weight * step_loss, math.sqrt(arr.dot(arr)), prob
+        if step < last:
+            param.apply_update([opt.step_size * min(max(g, -clip), clip) for g in grad_vec])
+
+    n = step + 1
+    logged = step if aborted else n
+    iou = np.zeros(n)
+    for start in range(0, logged, _LOG_BLOCK):
+        block = states[start : min(start + _LOG_BLOCK, logged)]
+        iou[start : start + len(block)] = iou_ellipse_pairs(block, np.broadcast_to(goal, block.shape))
+    return FitTrajectory(states[:n], loss[:n], grad_norm[:n], prob_iou[:n], iou, aborted)
 
 
 __all__ = [

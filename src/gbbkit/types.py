@@ -158,19 +158,24 @@ def validate_gbb(g: GaussBox) -> tuple[bool, str]:
     Returns (ok, diagnostic); diagnostic is "" when ok.  Uses the leading
     principal minors: a > eps and a*b - c**2 > eps, eps = POSITIVE_DEFINITE_EPS.
     """
+    why = _gbb_problem(g.x0, g.y0, g.a, g.b, g.c)
+    return not why, why
+
+
+def _gbb_problem(x0: float, y0: float, a: float, b: float, c: float) -> str:
+    """validate_gbb's diagnostic for a GaussBox's five fields, "" when valid."""
     eps = POSITIVE_DEFINITE_EPS
-    for name in ("x0", "y0", "a", "b", "c"):
-        v = getattr(g, name)
+    for name, v in zip(("x0", "y0", "a", "b", "c"), (x0, y0, a, b, c)):
         if not math.isfinite(v):
-            return False, f"{name} is not finite (got {v})"
-    if not g.a > eps:
-        return False, f"a must exceed {eps} (got {g.a})"
-    det = g.a * g.b - g.c * g.c
+            return f"{name} is not finite (got {v})"
+    if not a > eps:
+        return f"a must exceed {eps} (got {a})"
+    det = a * b - c * c
     if math.isnan(det):
-        return False, "a*b - c^2 overflows (a*b and c^2 are both inf)"
+        return "a*b - c^2 overflows (a*b and c^2 are both inf)"
     if not det > eps:
-        return False, f"a*b - c^2 must exceed {eps} (got {det})"
-    return True, ""
+        return f"a*b - c^2 must exceed {eps} (got {det})"
+    return ""
 
 
 def require_valid_gbb(g: GaussBox) -> GaussBox:

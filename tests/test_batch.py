@@ -358,8 +358,9 @@ def test_scalar_similarity_matches_batch_kernels(p, q):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_gauss_rows, _gauss_rows, st.sampled_from(["l1", "l2"]))
 def test_grad_general_matches_the_fit_step_bits(p, q, which):
-    # The fit step keeps the gradient as floats, grad_general wraps the same
-    # floats in an array: both must carry the same bits.
+    # The fit step takes the two rows' floats and keeps the gradient as
+    # floats, grad_general wraps the same floats in an array: both must
+    # carry the same bits.
     gp, gq = GaussBox(*p), GaussBox(*q)
     b_d = similarity(gp, gq).b_d
     assume(which == "l2" or b_d > 0.0)
@@ -367,7 +368,7 @@ def test_grad_general_matches_the_fit_step_bits(p, q, which):
     if which == "l1":
         want = want * _l1_factor_at(b_d)
     assert grad_general(gp, gq, which).tobytes() == want.tobytes()
-    assert np.array(_loss_and_grad(gp, gq, which)[2]).tobytes() == want.tobytes()
+    assert np.array(_loss_and_grad(p, q, which)[2]).tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

@@ -45,6 +45,10 @@ UNCALLED_EXPORTS = {
     # The exact Bhattacharyya coefficient of two uniform masks: an overlap
     # kernel of its own, not a one-line combination of other public names.
     "mask_bc",
+    # The paper's unconstrained covariance map (alpha, beta, c) -> (a, b, c):
+    # the constrained5 fit applies it through its float-level core, without
+    # building a ConstrainedCovParams per step.
+    "constrained_to_cov",
 }
 
 

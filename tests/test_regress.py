@@ -1,4 +1,8 @@
 import math
+import sys
+import tracemalloc
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,9 @@ from gbbkit import (
 )
 
 UNIT_AT = lambda x: hbb_to_gbb(Hbb(x, 0.0, 1.0, 1.0))  # noqa: E731
+
+# perfbench's workloads module, for its regress-fit configs.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 
 class TestScheduleLoss:
@@ -223,12 +230,12 @@ class TestFitGbb:
         ],
     )
     def test_step_state_check_is_validate_gbb(self, state):
-        # The fit step checks its state inline; it must accept exactly the
-        # states validate_gbb accepts, and report the others as infinite.
+        # The fit step checks its state's five floats; it must accept exactly
+        # the states validate_gbb accepts, and report the others as infinite.
         from gbbkit.regress import _loss_and_grad
 
         for selector in ("l1", "l2"):
-            _, loss, _ = _loss_and_grad(state, UNIT_AT(0.0), selector)
+            _, loss, _ = _loss_and_grad(astuple(state), astuple(UNIT_AT(0.0)), selector)
             assert math.isfinite(loss) == validate_gbb(state)[0]
 
     def test_hbb4_requires_diagonal_init(self):
@@ -239,6 +246,55 @@ class TestFitGbb:
                 LossSchedule(total_steps=10),
                 OptimizerConfig(parametrization="hbb4"),
             )
+
+
+class TestFitTrajectory:
+    # fit_gbb keeps its records as columns; steps is a view built from them.
+
+    @staticmethod
+    def _fits(seed):
+        from gbbkit import cli
+        from workloads import regress_configs
+
+        for cfg in regress_configs(seed):
+            target, init = (cli.shape_to_gbb(cli.parse_shape(cfg[k])) for k in ("target", "init"))
+            yield fit_gbb(
+                target, init, LossSchedule(**cfg["schedule"]), OptimizerConfig(**cfg["optimizer"])
+            )
+        # A fit that aborts at its second state.
+        yield fit_gbb(
+            UNIT_AT(0.0),
+            hbb_to_gbb(Hbb(0.0, 0.0, 35.0, 35.0)),
+            LossSchedule(total_steps=100),
+            OptimizerConfig(step_size=1e4, parametrization="hbb4"),
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_steps_view_is_the_columns_to_the_bit(self, seed):
+        trajs = list(self._fits(seed))
+        assert [t.aborted is None for t in trajs] == [True] * 6 + [False]
+        for traj in trajs:
+            columns = (traj.loss, traj.grad_norm, traj.prob_iou, traj.iou)
+            assert traj.states.shape == (len(traj.loss), 5)
+            assert all(c.shape == traj.loss.shape for c in columns)
+            assert len(traj.steps) == len(traj.loss) and traj.final() is traj.steps[-1]
+            for s, row, *rest in zip(traj.steps, traj.states.tolist(), *(c.tolist() for c in columns)):
+                got = (*astuple(s.params), s.loss, s.grad_norm, s.prob_iou, s.iou)
+                assert all(type(v) is float for v in got)
+                assert [v.hex() for v in got] == [v.hex() for v in (*row, *rest)]
+        last = trajs[-1].final()
+        assert (last.loss, last.grad_norm, last.prob_iou, last.iou) == (math.inf, math.inf, 0.0, 0.0)
+
+    def test_tracemalloc_peak_of_a_400_step_fit(self):
+        args = (UNIT_AT(0.0), UNIT_AT(2.0), LossSchedule(total_steps=400), OptimizerConfig())
+        fit_gbb(*args)  # first call's one-time costs
+        tracemalloc.start()
+        try:
+            traj = fit_gbb(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.loss) == 401 and peak < 200_000
 
 
 class TestChainedGradients:
@@ -264,12 +320,12 @@ class TestChainedGradients:
                               init.a * rng.uniform(0.7, 1.4), init.b * rng.uniform(0.7, 1.4),
                               0.0)
             param = _Parametrization(kind, init)
-            got = param.chain_gradient(grad_general(param.gauss_box(), target, "l2"))
+            got = param.chain_gradient(grad_general(GaussBox(*param.state()), target, "l2"))
 
             def loss_of(vec):
                 probe = _Parametrization(kind, init)
                 probe.vec = vec
-                return similarity(probe.gauss_box(), target).b_d
+                return similarity(GaussBox(*probe.state()), target).b_d
 
             want = central_difference(loss_of, param.vec.copy())
             scale = max(np.max(np.abs(want)), 1e-9)
@@ -314,5 +370,5 @@ class TestGradientProbe:
 
         p, q = UNIT_AT(0.0), UNIT_AT(0.5)
         rep = similarity(p, q)
-        assert _loss_and_grad(p, q, "l2")[:2] == (rep.prob_iou, rep.b_d)
-        assert _loss_and_grad(p, q, "l1")[:2] == (rep.prob_iou, rep.h_d)
+        assert _loss_and_grad(astuple(p), astuple(q), "l2")[:2] == (rep.prob_iou, rep.b_d)
+        assert _loss_and_grad(astuple(p), astuple(q), "l1")[:2] == (rep.prob_iou, rep.h_d)
