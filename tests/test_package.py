@@ -1,6 +1,9 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -75,3 +78,32 @@ def test_every_exported_name_has_a_caller():
     assert sorted(uncalled - UNCALLED_EXPORTS) == []
     # An entry whose name gained a caller leaves the list.
     assert sorted(UNCALLED_EXPORTS - uncalled) == []
+
+
+_PROPERTY_PROBE = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_test_does_not_stop_the_session(tmp_path):
+    # A failing hypothesis test makes its pytest plugin import libcst, whose
+    # import warns; under the project's warning filters the session must
+    # still report that failure and run the next test.
+    (tmp_path / "test_probe.py").write_text(textwrap.dedent(_PROPERTY_PROBE), encoding="utf-8")
+    settings = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    argv = ["-q", "-p", "no:cacheprovider", "-c", str(settings), "--rootdir", str(tmp_path)]
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", *argv, "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert result.stdout.splitlines()[-1].startswith("1 failed, 1 passed")
