@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,29 @@ def test_rect_mask_bc_matches_exact_polygon_route():
 def test_mask_prob_iou_transform():
     bc = np.array([0.0, 0.5, 1.0])
     np.testing.assert_allclose(mask_prob_iou_pairs(bc), [0.0, 1 - np.sqrt(0.5), 1.0])
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        ((0.0, 0.0, 1e150, 1e150, 0.0), (1.0, 0.0, 1e150, 1e150, 0.0)),
+        ((0.0, 0.0, 1e300, 1.0, 0.0), (1.0, 0.0, 1e300, 1.0, 0.0)),
+        ((0.0, 0.0, *cov_from_angles(AngleCov(1e153, 1e150, 0.3))), (2.0, -1.0, 4e151, 3e151, 1e150)),
+    ],
+)
+def test_large_valid_gaussians_score_the_same_on_both_routes(p, q):
+    # Each determinant is finite but their product overflows: both routes
+    # take the two roots apart, warn about nothing and give the same b_d
+    # (ProbIoU to numpy's expm1); an ordinary row in the batch is untouched.
+    rep = similarity(GaussBox(*p), GaussBox(*q))
+    unit = (0.0, 0.0, 1.0, 1.0, 0.0)
+    rows_p, rows_q = np.array([p, unit, p]), np.array([q, (0.5, 0.0, 1.0, 1.0, 0.0), q])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bd, pi = bd_pairs(rows_p, rows_q), prob_iou_pairs(rows_p, rows_q)
+    assert bd.tolist() == [rep.b_d, bd_pairs(rows_p[1:2], rows_q[1:2])[0], rep.b_d]
+    assert pi[[0, 2]].tolist() == pytest.approx([rep.prob_iou] * 2, rel=1e-12)
+    assert math.isfinite(rep.b_d) and rep.b_d >= 0.0
 
 
 def test_identical_rows_give_unit_prob_iou():

@@ -15,9 +15,9 @@ from gbbkit import batch, cli, raster
 from gbbkit.annotations import SYNTHETIC_PRESETS, generate_synthetic
 from gbbkit.cli import main
 from gbbkit.convert import gbb_to_ellipse, mask_to_gbb, mask_to_hbb, mask_to_obb
-from gbbkit.metrics import fidelity_ious
+from gbbkit.metrics import fidelity_ious, similarity
 from gbbkit.polygons import convex_hull, ellipse_intersection_area, signed_area
-from gbbkit.types import PolygonMask
+from gbbkit.types import GaussBox, PolygonMask
 
 HBB_JSON = json.dumps({"type": "hbb", "x": 3, "y": 4, "w": 6, "h": 12})
 # Two triangles joined at a crossing, the right one larger, so the signed
@@ -319,6 +319,22 @@ class TestScore:
             "line 2: skipped (Ellipse field semi_major is too large to square, got 1e+200)\n"
             "scored 2 pairs, skipped 1\n"
         )
+
+    def test_large_valid_gaussians_are_compared(self, tmp_path, capsys):
+        # Each determinant is finite, their product is not: the Bhattacharyya
+        # shape term takes the root of each apart instead of failing on log(0).
+        wide = {"type": "gbb", "x": 0, "y": 0, "a": 1e150, "b": 1e150, "c": 0}
+        long = {"type": "gbb", "x": 0, "y": 0, "a": 1e300, "b": 1, "c": 0}
+        lines = [json.dumps([g, {**g, "x": 1}]) for g in (wide, long)]
+        out_csv = tmp_path / "scores.csv"
+        code, _, err = run_main(["score", self._write_pairs(tmp_path, lines), "--out", str(out_csv)],
+                                capsys)
+        assert code == 0 and "math domain error" not in err
+        rep = similarity(GaussBox(0, 0, 1e150, 1e150, 0), GaussBox(1, 0, 1e150, 1e150, 0))
+        row = read_csv(out_csv)[0]
+        assert [float(row[k]) for k in ("b_d", "b_c", "h_d", "prob_iou", "iou")] == [
+            rep.b_d, rep.b_c, rep.h_d, rep.prob_iou, 1.0
+        ]
 
     def test_non_finite_metric_skipped_with_reason(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "iou_between", lambda a, b, cell_size: math.nan)
