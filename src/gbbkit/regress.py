@@ -278,13 +278,10 @@ def fit_gbb(
             loss[step], grad_norm[step], prob_iou[step] = math.inf, math.inf, 0.0
             aborted = f"non-finite loss or gradient at step {step}; reduce step_size"
             break
-        # The logged norm keeps np.linalg.norm's bits: the square root of the
-        # BLAS ddot, which OpenBLAS sums as a chain of fused multiply-adds.
-        # So grad_norm, and with it the regress goldens, depends on the BLAS.
-        # On 200,000 random 4- and 5-vectors a Python sum of squares gave
-        # other last bits on 21,738 and math.hypot on 37,595.
-        arr = np.array(grad_vec)
-        loss[step], grad_norm[step], prob_iou[step] = weight * step_loss, math.sqrt(arr.dot(arr)), prob
+        # The logged norm sums the squares with math.fsum, exactly rounded,
+        # so its bits depend on no BLAS kernel and no summation order.
+        norm = math.sqrt(math.fsum(g * g for g in grad_vec))
+        loss[step], grad_norm[step], prob_iou[step] = weight * step_loss, norm, prob
         if step < last:
             param.apply_update([opt.step_size * min(max(g, -clip), clip) for g in grad_vec])
 

@@ -160,6 +160,9 @@ def test_scatter_golden(tmp_path, capsys):
 
 _REGRESS_SCHEDULE = {"omega1": 1.0, "omega2": 5.0, "switch_fraction": 0.5, "total_steps": 400}
 
+# The three regress digests were recorded with grad_norm summed by
+# math.fsum, which no BLAS kernel can change.
+
 # The README config, the period-2 oscillation from an oriented init, and one
 # near-target fit in each additive update space (a step of 0.1 far from the
 # target drives their variances through the floor).
@@ -191,7 +194,7 @@ def test_regress_golden(tmp_path, capsys):
         outs.append(_cli(["regress", "--config", str(config), "--out", str(trajectory)], capsys))
         outs.append(trajectory.read_text(encoding="utf-8"))
     assert all('"aborted": null' in out for out in outs[::2])
-    assert _digest("\n".join(outs)) == "40742cdbab95435a"
+    assert _digest("\n".join(outs)) == "40f9381c107e8ec1"
 
 
 def test_regress_fit_bits_golden(tmp_path, capsys):
@@ -206,7 +209,7 @@ def test_regress_fit_bits_golden(tmp_path, capsys):
         rows = trajectory.read_text(encoding="utf-8").splitlines()
         outs.append("\n".join(row.rsplit(",", 1)[0] for row in rows))
     assert outs[1].startswith("step,loss,grad_norm,prob_iou\n")
-    assert _digest("\n".join(outs)) == "c89ef64f9318687a"
+    assert _digest("\n".join(outs)) == "0da2278550419b63"
 
 
 def _theta_wraps(traj) -> bool:
@@ -268,4 +271,4 @@ def test_regress_fit_branches_golden(tmp_path, capsys):
         outs.append(_cli(["regress", "--config", str(config), "--out", str(trajectory)], capsys))
         rows = trajectory.read_text(encoding="utf-8").splitlines()
         outs.append("\n".join(row.rsplit(",", 1)[0] for row in rows))
-    assert _digest("\n".join(outs)) == "2661d9d64e95483d"
+    assert _digest("\n".join(outs)) == "70110d76f42ecf05"
