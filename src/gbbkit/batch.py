@@ -41,9 +41,7 @@ def bd_pairs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     b1 = 0.25 * (asum * dy**2 + bsum * dx**2 - 2.0 * csum * dx * dy) / denom
     det1 = p[:, 2] * p[:, 3] - p[:, 4] ** 2
     det2 = q[:, 2] * q[:, 3] - q[:, 4] ** 2
-    # metrics._bd_terms' root: apart where the product of two finite
-    # determinants overflows.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # metrics._bd_terms' root, apart where det1 * det2 overflows
         root = np.sqrt(det1 * det2)
     big = np.isinf(root)
     root[big] = np.sqrt(det1[big]) * np.sqrt(det2[big])

@@ -405,14 +405,11 @@ def _config_section(cfg: dict, key: str, cls, allowed: tuple[str, ...]):
 
 def _regress_summary(traj: FitTrajectory) -> dict:
     prob = traj.prob_iou.tolist()
-    steps_to_09 = next((i for i, v in enumerate(prob) if v >= 0.9), None)
-    stalled = None
-    if (traj.grad_norm < 1e-8).all() and prob[-1] < 0.9:
-        stalled = "stalled: gradient underflow"
+    stalled = (traj.grad_norm < 1e-8).all() and prob[-1] < 0.9
     return {
         "final_prob_iou": prob[-1],
-        "steps_to_0_9": steps_to_09,
-        "stalled": stalled,
+        "steps_to_0_9": next((i for i, v in enumerate(prob) if v >= 0.9), None),
+        "stalled": "stalled: gradient underflow" if stalled else None,
         "aborted": traj.aborted,
     }
 
@@ -440,8 +437,9 @@ def cmd_regress(args) -> int:
 
     traj = fit_gbb(target, init, schedule, opt)
     # tolist gives Python floats, whose repr is the CSV's text.
-    columns = zip(*(c.tolist() for c in (traj.loss, traj.grad_norm, traj.prob_iou, traj.iou)))
-    lines = (f"{i},{l!r},{g!r},{p!r},{u!r}\n" for i, (l, g, p, u) in enumerate(columns))
+    columns = (traj.loss, traj.grad_norm, traj.prob_iou, traj.iou)
+    rows = enumerate(zip(*(c.tolist() for c in columns)))
+    lines = (f"{i},{loss!r},{norm!r},{prob!r},{iou!r}\n" for i, (loss, norm, prob, iou) in rows)
     _write_lines(args.out, ["step", "loss", "grad_norm", "prob_iou", "iou"], lines)
     json.dump(_regress_summary(traj), sys.stdout)
     sys.stdout.write("\n")

@@ -111,7 +111,8 @@ def test_mask_prob_iou_transform():
     [
         ((0.0, 0.0, 1e150, 1e150, 0.0), (1.0, 0.0, 1e150, 1e150, 0.0)),
         ((0.0, 0.0, 1e300, 1.0, 0.0), (1.0, 0.0, 1e300, 1.0, 0.0)),
-        ((0.0, 0.0, *cov_from_angles(AngleCov(1e153, 1e150, 0.3))), (2.0, -1.0, 4e151, 3e151, 1e150)),
+        ((0.0, 0.0, *cov_from_angles(AngleCov(1e153, 1e150, 0.3))),
+         (2.0, -1.0, 4e151, 3e151, 1e150)),
     ],
 )
 def test_large_valid_gaussians_score_the_same_on_both_routes(p, q):
