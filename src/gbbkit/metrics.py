@@ -79,9 +79,8 @@ def _bd_terms(
     term1 = 0.25 * (asum * dy * dy + bsum * dx * dx - 2.0 * csum * dx * dy) / denom
     det1 = a1 * b1 - c1 * c1
     det2 = a2 * b2 - c2 * c2
-    det = det1 * det2
     # Two finite determinants whose product overflows keep their root apart.
-    root = math.sqrt(det) if det != math.inf else math.sqrt(det1) * math.sqrt(det2)
+    root = math.sqrt(det1 * det2) if det1 * det2 != math.inf else math.sqrt(det1) * math.sqrt(det2)
     term2 = 0.5 * math.log(denom / (4.0 * root))
     return term1, term2
 

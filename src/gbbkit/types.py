@@ -164,10 +164,11 @@ def validate_gbb(g: GaussBox) -> tuple[bool, str]:
 
 def _gbb_problem(x0: float, y0: float, a: float, b: float, c: float) -> str:
     """validate_gbb's diagnostic for a GaussBox's five fields, "" when valid."""
-    eps = POSITIVE_DEFINITE_EPS
-    for name, v in zip(("x0", "y0", "a", "b", "c"), (x0, y0, a, b, c)):
-        if not math.isfinite(v):
-            return f"{name} is not finite (got {v})"
+    eps, isfinite = POSITIVE_DEFINITE_EPS, math.isfinite
+    if not (isfinite(x0) and isfinite(y0) and isfinite(a) and isfinite(b) and isfinite(c)):
+        for name, v in zip(("x0", "y0", "a", "b", "c"), (x0, y0, a, b, c)):
+            if not isfinite(v):
+                return f"{name} is not finite (got {v})"
     if not a > eps:
         return f"a must exceed {eps} (got {a})"
     det = a * b - c * c
