@@ -30,8 +30,8 @@ VARIANCE_FLOOR = 1e-9
 
 # States per batched ellipse-IoU call in the fit log.  A call has a fixed
 # cost of about 0.2 ms, and its temporaries grow with the block.  Under
-# tracemalloc a 400-step fit peaks at 72 KB with blocks of 64, 108 KB at
-# 128, 180 KB at 256 and 262 KB in one call; a whole `regress` run peaks at
+# tracemalloc a 400-step fit peaks at 89 KB with blocks of 64, 125 KB at
+# 128, 197 KB at 256 and 279 KB in one call; a whole `regress` run peaks at
 # 0.292, 0.294 and 0.368 MB at the first three.  128 is the largest block
 # that leaves the run's peak where it is.
 _LOG_BLOCK = 128
@@ -254,7 +254,7 @@ def fit_gbb(
     goal = (target.x0, target.y0, target.a, target.b, target.c)
     last = schedule.total_steps
     states = np.empty((last + 1, 5))
-    loss, grad_norm, prob_iou = np.empty(last + 1), np.empty(last + 1), np.empty(last + 1)
+    loss, grad_norm, prob_iou = np.empty((3, last + 1))
     aborted = None
 
     clip = opt.grad_clip
