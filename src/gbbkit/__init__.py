@@ -58,7 +58,6 @@ from .regress import (
 from .types import (
     POSITIVE_DEFINITE_EPS,
     AngleCov,
-    ConstrainedCovParams,
     Ellipse,
     GaussBox,
     Hbb,
@@ -73,7 +72,7 @@ __all__ = [
     "__version__",
     # types
     "GaussBox", "AngleCov", "Hbb", "Obb", "Ellipse", "PolygonMask",
-    "ConstrainedCovParams", "validate_gbb", "POSITIVE_DEFINITE_EPS",
+    "validate_gbb", "POSITIVE_DEFINITE_EPS",
     # conversions
     "hbb_to_gbb", "obb_to_gbb", "cov_from_angles", "gbb_to_angle_cov",
     "gbb_to_obb", "mask_to_gbb", "mask_to_hbb", "mask_to_obb",

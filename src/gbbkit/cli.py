@@ -21,7 +21,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -390,11 +390,11 @@ def cmd_fidelity(args) -> int:
     return EXIT_OK
 
 
-def _config_section(cfg: dict, key: str, cls, allowed: tuple[str, ...]):
+def _config_section(cfg: dict, key: str, cls):
     section = cfg.get(key, {})
     if not isinstance(section, dict):
         raise UsageError(f"config field {key!r} must be an object")
-    unknown = set(section) - set(allowed)
+    unknown = set(section) - {f.name for f in fields(cls)}
     if unknown:
         raise UsageError(f"config field {key!r} has unknown keys: {sorted(unknown)}")
     try:
@@ -428,12 +428,8 @@ def cmd_regress(args) -> int:
 
     target = shape_to_gbb(parse_shape(cfg["target"]))
     init = shape_to_gbb(parse_shape(cfg["init"]))
-    schedule = _config_section(
-        cfg, "schedule", LossSchedule, ("omega1", "omega2", "switch_fraction", "total_steps")
-    )
-    opt = _config_section(
-        cfg, "optimizer", OptimizerConfig, ("step_size", "grad_clip", "parametrization")
-    )
+    schedule = _config_section(cfg, "schedule", LossSchedule)
+    opt = _config_section(cfg, "optimizer", OptimizerConfig)
 
     traj = fit_gbb(target, init, schedule, opt)
     # tolist gives Python floats, whose repr is the CSV's text.

@@ -16,7 +16,6 @@ import numpy as np
 from .polygons import min_area_rect, polygon_moments
 from .types import (
     AngleCov,
-    ConstrainedCovParams,
     Ellipse,
     GaussBox,
     Hbb,
@@ -137,10 +136,9 @@ def gbb_to_ellipse(g: GaussBox, r: float = DEFAULT_LEVEL_SET_RADIUS) -> Ellipse:
     With the default r the ellipse area equals w*h of the matching oriented
     box exactly.
     """
-    require_valid_gbb(g)
+    ac = gbb_to_angle_cov(g)
     if not r > 0:
         raise ValueError(f"level-set radius must be positive, got {r}")
-    ac = gbb_to_angle_cov(g)
     major = r * math.sqrt(ac.a_prime)
     minor = r * math.sqrt(ac.b_prime)
     theta = ac.theta
@@ -269,7 +267,7 @@ def tau_from_r(r: float) -> float:
     return -math.expm1(-0.5 * r * r)
 
 
-def constrained_to_cov(p: ConstrainedCovParams) -> tuple[float, float, float]:
+def constrained_to_cov(alpha: float, beta: float, c: float) -> tuple[float, float, float]:
     """Map unconstrained (alpha, beta, c) to covariance entries (a, b, c).
 
     a = exp(alpha) and b = c**2 / a + exp(beta) give
@@ -277,11 +275,6 @@ def constrained_to_cov(p: ConstrainedCovParams) -> tuple[float, float, float]:
     always positive-definite.  alpha and beta are clamped to +/-EXP_CLAMP
     before exponentiation.
     """
-    return _constrained_to_cov(p.alpha, p.beta, p.c)
-
-
-def _constrained_to_cov(alpha: float, beta: float, c: float) -> tuple[float, float, float]:
-    """constrained_to_cov of the three floats (alpha, beta, c)."""
     alpha = min(max(alpha, -EXP_CLAMP), EXP_CLAMP)
     beta = min(max(beta, -EXP_CLAMP), EXP_CLAMP)
     a = math.exp(alpha)

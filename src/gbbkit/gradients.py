@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convert import hbb_to_gbb
-from .metrics import _bd_terms
+from .metrics import _bd
 from .types import GaussBox, Hbb, require_valid_gbb
 
 
@@ -66,19 +66,13 @@ def _grad_terms(
     return u_x / 2.0, u_y / 2.0, g_a, g_b, g_c
 
 
-def _l1_chain_factor(p: GaussBox, q: GaussBox) -> float | None:
-    """d(sqrt(1 - exp(-t)))/dt at the pair's Bhattacharyya distance t.
+def _l1_factor_at(b_d: float) -> float | None:
+    """d(sqrt(1 - exp(-t)))/dt at the pair's clamped Bhattacharyya distance t.
 
     Evaluated at the full distance with its constant term: the factor is
     value-sensitive even though the L2 gradient is not.  None at t == 0
     (p == q), where the factor diverges; expm1 keeps it finite for tiny t.
     """
-    b1, b2 = _bd_terms(p.x0, p.y0, p.a, p.b, p.c, q.x0, q.y0, q.a, q.b, q.c)
-    return _l1_factor_at(max(b1 + b2, 0.0))
-
-
-def _l1_factor_at(b_d: float) -> float | None:
-    """The L1 chain factor at a clamped Bhattacharyya distance b_d >= 0."""
     if b_d == 0.0:
         return None
     return math.exp(-b_d) / (2.0 * math.sqrt(-math.expm1(-b_d)))
@@ -105,7 +99,8 @@ def grad_l1_hbb(p: Hbb, q: Hbb) -> HbbGradient:
     far-apart boxes and diverges at p == q, where a zero gradient with the
     singular flag is returned.
     """
-    factor = _l1_chain_factor(hbb_to_gbb(p), hbb_to_gbb(q))
+    gp, gq = hbb_to_gbb(p), hbb_to_gbb(q)
+    factor = _l1_factor_at(_bd(gp.x0, gp.y0, gp.a, gp.b, gp.c, gq.x0, gq.y0, gq.a, gq.b, gq.c))
     if factor is None:
         return HbbGradient(0.0, 0.0, 0.0, 0.0, singular=True)
     g = grad_l2_hbb(p, q)
@@ -126,9 +121,10 @@ def grad_general(p: GaussBox, q: GaussBox, which: str = "l2") -> np.ndarray:
     require_valid_gbb(q)
     if which not in ("l1", "l2"):
         raise ValueError(f"loss selector must be 'l1' or 'l2', got {which!r}")
-    grad = np.array(_grad_terms(p.x0, p.y0, p.a, p.b, p.c, q.x0, q.y0, q.a, q.b, q.c))
+    args = (p.x0, p.y0, p.a, p.b, p.c, q.x0, q.y0, q.a, q.b, q.c)
+    grad = np.array(_grad_terms(*args))
     if which == "l1":
-        factor = _l1_chain_factor(p, q)
+        factor = _l1_factor_at(_bd(*args))
         if factor is None:
             raise ValueError("L1 gradient is singular at p = q")
         grad *= factor

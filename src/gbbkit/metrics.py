@@ -93,22 +93,28 @@ def bhattacharyya_terms(p: GaussBox, q: GaussBox) -> BhattacharyyaTerms:
     return BhattacharyyaTerms(b1, b2)
 
 
+def _bd(
+    x1: float, y1: float, a1: float, b1: float, c1: float,
+    x2: float, y2: float, a2: float, b2: float, c2: float,
+) -> float:
+    """Bhattacharyya distance b1 + b2 from raw Gaussian parameters, unvalidated.
+
+    Clamped to >= 0: roundoff can land a hair below zero for near-identical
+    inputs, and the clamp keeps b_c <= 1.  A NaN sum stays NaN.
+    """
+    t1, t2 = _bd_terms(x1, y1, a1, b1, c1, x2, y2, a2, b2, c2)
+    return max(t1 + t2, 0.0)
+
+
 def similarity(p: GaussBox, q: GaussBox) -> SimilarityReport:
     """Full similarity report between two Gaussian regions.
 
-    b_d is clamped to >= 0 before exponentiation: roundoff can land a hair
-    below zero for near-identical inputs, and the clamp keeps b_c <= 1.
-    h_d uses expm1 so it stays nonzero (metric axiom) even when b_c rounds
-    to 1 for nearly identical inputs.
+    b_d is _bd's clamped distance.  h_d uses expm1 so it stays nonzero
+    (metric axiom) even when b_c rounds to 1 for nearly identical inputs.
     """
     require_valid_gbb(p)
     require_valid_gbb(q)
-    return _similarity_report(*_bd_terms(p.x0, p.y0, p.a, p.b, p.c, q.x0, q.y0, q.a, q.b, q.c))
-
-
-def _similarity_report(b1: float, b2: float) -> SimilarityReport:
-    """The report of similarity from the two Bhattacharyya terms, unvalidated."""
-    b_d = max(b1 + b2, 0.0)
+    b_d = _bd(p.x0, p.y0, p.a, p.b, p.c, q.x0, q.y0, q.a, q.b, q.c)
     h_d = _hellinger(b_d)
     return SimilarityReport(b_d=b_d, b_c=math.exp(-b_d), h_d=h_d, prob_iou=1.0 - h_d)
 

@@ -251,12 +251,6 @@ def _calipers(hulls: np.ndarray) -> list[tuple[float, float, float, float, float
     return rects
 
 
-def _caliper_chunks(count: int, m: int):
-    """Slices of count hulls of m vertices, each at most _CALIPER_CELLS vertex x edge cells."""
-    step = max(1, _CALIPER_CELLS // (m * m))
-    return (slice(r0, r0 + step) for r0 in range(0, count, step))
-
-
 def _caliper_hull(points: np.ndarray) -> np.ndarray:
     """convex_hull of one point set, which must have three hull points at least."""
     hull = convex_hull(points)
@@ -275,9 +269,9 @@ def min_area_rect(
     point.
 
     An (..., n, 2) stack gives one rectangle per row, each equal to the
-    one-row call to the bit.  Rows _certified_hulls marks skip convex_hull;
-    the others run it one at a time.  Hulls of one length then share caliper
-    passes of at most _CALIPER_CELLS vertex x edge cells.
+    one-row call to the bit.  Rows _certified_hulls marks skip convex_hull
+    and share caliper passes of at most _CALIPER_CELLS vertex x edge cells;
+    any other row takes the one-row route.
 
     Returns:
         (center (2,), width, height, theta) with width measured along the
@@ -297,19 +291,13 @@ def min_area_rect(
     start = np.argmin(np.where(x == x.min(axis=1, keepdims=True), y, np.inf), axis=1)
     rects = np.empty((len(v), 5))
     rows = np.flatnonzero(certified)
-    for part in _caliper_chunks(len(rows), n):
+    step = max(1, _CALIPER_CELLS // (n * n))
+    for r0 in range(0, len(rows), step):
         # A certified row is its own hull: + 0.0, from its least point on.
-        chunk = rows[part]
+        chunk = rows[r0 : r0 + step]
         rects[chunk] = _calipers(v[chunk[:, None], (start[chunk, None] + np.arange(n)) % n] + 0.0)
-    # The other rows' hulls, grouped by length to share the calipers.
-    by_length: dict[int, list[tuple[int, np.ndarray]]] = {}
     for i in np.flatnonzero(~certified).tolist():
-        hull = _caliper_hull(v[i])
-        by_length.setdefault(len(hull), []).append((i, hull))
-    for m, group in by_length.items():
-        for part in _caliper_chunks(len(group), m):
-            members, hulls = zip(*group[part])
-            rects[list(members)] = _calipers(np.array(hulls))
+        [rects[i]] = _calipers(_caliper_hull(v[i])[None])
     rects = rects.reshape(*lead, 5)
     return rects[..., :2], rects[..., 2], rects[..., 3], rects[..., 4]
 

@@ -18,9 +18,9 @@ from functools import cached_property
 import numpy as np
 
 from .batch import iou_ellipse_pairs
-from .convert import _canonical_angle, _constrained_to_cov, cov_from_angles, gbb_to_angle_cov
+from .convert import _canonical_angle, constrained_to_cov, cov_from_angles, gbb_to_angle_cov
 from .gradients import _grad_terms, _l1_factor_at
-from .metrics import _bd_terms, _hellinger
+from .metrics import _bd, _hellinger
 from .types import AngleCov, GaussBox, _gbb_problem, require_valid_gbb
 
 PARAMETRIZATIONS = ("hbb4", "angle5", "constrained5")
@@ -163,7 +163,7 @@ class _Parametrization:
             return v[0], v[1], v[2], v[3], 0.0
         if self.kind == "angle5":
             return (v[0], v[1], *cov_from_angles(AngleCov(v[2], v[3], v[4])))
-        return (v[0], v[1], *_constrained_to_cov(v[2], v[3], v[4]))
+        return (v[0], v[1], *constrained_to_cov(v[2], v[3], v[4]))
 
     def chain_gradient(self, grad_abc) -> tuple[float, ...]:
         """Pull a (x, y, a, b, c) gradient back into this update space."""
@@ -219,8 +219,7 @@ def _loss_and_grad(state: tuple, target: tuple, selector: str):
     if _gbb_problem(*state):
         return 0.0, math.inf, (0.0,) * 5
     args = (*state, *target)
-    b1, b2 = _bd_terms(*args)
-    b_d = max(b1 + b2, 0.0)
+    b_d = _bd(*args)
     h_d = _hellinger(b_d)
     grad = _grad_terms(*args)
     if selector == "l2":

@@ -62,6 +62,13 @@ def _require_finite(shape) -> None:
             raise ValueError(f"{type(shape).__name__} field {name} must be finite, got {value}")
 
 
+def _check_box(box) -> None:
+    """Hbb's and Obb's check: every field finite, w and h positive."""
+    _require_finite(box)
+    if not (box.w > 0 and box.h > 0):
+        raise ValueError(f"box dimensions must be positive, got w={box.w}, h={box.h}")
+
+
 @dataclass(frozen=True)
 class Hbb:
     """Axis-aligned box: center (x0, y0), width w, height h."""
@@ -71,10 +78,7 @@ class Hbb:
     w: float
     h: float
 
-    def __post_init__(self):
-        _require_finite(self)
-        if not (self.w > 0 and self.h > 0):
-            raise ValueError(f"box dimensions must be positive, got w={self.w}, h={self.h}")
+    __post_init__ = _check_box
 
 
 @dataclass(frozen=True)
@@ -87,10 +91,7 @@ class Obb:
     h: float
     theta: float
 
-    def __post_init__(self):
-        _require_finite(self)
-        if not (self.w > 0 and self.h > 0):
-            raise ValueError(f"box dimensions must be positive, got w={self.w}, h={self.h}")
+    __post_init__ = _check_box
 
 
 @dataclass(frozen=True)
@@ -131,25 +132,8 @@ class PolygonMask:
         if not np.all(np.isfinite(verts)):
             raise ValueError("polygon vertices must be finite")
         object.__setattr__(self, "vertices", verts)
-        if self.signed_area() <= 0:
+        if polygons.signed_area(verts) <= 0:
             raise ValueError("polygon must be counter-clockwise with positive area")
-
-    def signed_area(self) -> float:
-        return polygons.signed_area(self.vertices)
-
-
-@dataclass(frozen=True)
-class ConstrainedCovParams:
-    """Unconstrained parameters (alpha, beta, c) of a covariance matrix.
-
-    The mapping a = exp(alpha), b = exp(-alpha) * c**2 + exp(beta) is
-    positive-definite for every real triple, so these can be regressed with
-    no activation constraints.
-    """
-
-    alpha: float
-    beta: float
-    c: float
 
 
 def validate_gbb(g: GaussBox) -> tuple[bool, str]:

@@ -7,7 +7,6 @@ from conftest import random_gauss_box
 from gbbkit import (
     DEFAULT_LEVEL_SET_RADIUS,
     AngleCov,
-    ConstrainedCovParams,
     Ellipse,
     GaussBox,
     Hbb,
@@ -350,15 +349,15 @@ class TestRFromTau:
 
 class TestConstrainedParams:
     def test_identity_point(self):
-        assert constrained_to_cov(ConstrainedCovParams(0, 0, 0)) == (1.0, 1.0, 0.0)
+        assert constrained_to_cov(0, 0, 0) == (1.0, 1.0, 0.0)
 
     def test_worked_example(self):
-        a, b, c = constrained_to_cov(ConstrainedCovParams(math.log(2), 0, 2))
+        a, b, c = constrained_to_cov(math.log(2), 0, 2)
         assert (a, b, c) == pytest.approx((2.0, 3.0, 2.0), rel=1e-12)
         assert a * b - c * c == pytest.approx(2.0, rel=1e-12)
 
     def test_clamping_keeps_values_finite(self):
-        a, b, c = constrained_to_cov(ConstrainedCovParams(1e6, -1e6, 0.5))
+        a, b, c = constrained_to_cov(1e6, -1e6, 0.5)
         assert math.isfinite(a) and math.isfinite(b)
         assert a == pytest.approx(math.exp(30.0))
 
@@ -366,7 +365,7 @@ class TestConstrainedParams:
         rng = np.random.default_rng(7)
         params = rng.uniform(-10.0, 10.0, size=(100_000, 3))
         for alpha, beta, c in params:
-            a, b, cc = constrained_to_cov(ConstrainedCovParams(alpha, beta, c))
+            a, b, cc = constrained_to_cov(alpha, beta, c)
             ok, why = validate_gbb(GaussBox(0.0, 0.0, a, b, cc))
             assert ok, why
 
