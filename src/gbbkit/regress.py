@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .batch import iou_ellipse_pairs
-from .convert import _canonical_angle, constrained_to_cov, cov_from_angles, gbb_to_angle_cov
+from .convert import EXP_CLAMP, _canonical_angle, constrained_to_cov, cov_from_angles, gbb_to_angle_cov
 from .gradients import _grad_terms, _l1_factor_at
 from .metrics import _bd, _hellinger
 from .types import AngleCov, GaussBox, _gbb_problem, require_valid_gbb
@@ -184,15 +184,12 @@ class _Parametrization:
                 ga * sin2 + gb * cos2 - 0.5 * gc * s2t,
                 (ap - bp) * ((gb - ga) * s2t + gc * c2t),
             )
+        # constrained_to_cov's clamp: the map is flat in alpha (or beta) beyond it.
         alpha, beta, c = v[2], v[3], v[4]
-        ea = math.exp(alpha)
-        return (
-            gx,
-            gy,
-            ga * ea - gb * c * c / ea,
-            gb * math.exp(beta),
-            gb * 2.0 * c / ea + gc,
-        )
+        ea = math.exp(min(max(alpha, -EXP_CLAMP), EXP_CLAMP))
+        d_alpha = ga * ea - gb * c * c / ea if abs(alpha) <= EXP_CLAMP else 0.0
+        d_beta = gb * math.exp(beta) if abs(beta) <= EXP_CLAMP else 0.0
+        return gx, gy, d_alpha, d_beta, gb * 2.0 * c / ea + gc
 
     def apply_update(self, delta) -> None:
         v = self.vec = [x - d for x, d in zip(self.vec, delta)]

@@ -967,6 +967,23 @@ class TestRegress:
         assert summary["stalled"] is None
         assert len(read_csv(out)) == 401
 
+    def test_constrained_step_past_the_clamp_exits_0(self, tmp_path, capsys):
+        # A step of 100 carries alpha past EXP_CLAMP; the chain rule follows
+        # the clamp, so exp does not overflow into a traceback.
+        cfg = self._write_config(
+            tmp_path,
+            {
+                "target": {"type": "hbb", "x": 0, "y": 0, "w": 1, "h": 1},
+                "init": {"type": "obb", "x": 2, "y": 0.5, "w": 2, "h": 0.5, "theta": 0.4},
+                "optimizer": {"step_size": 100},
+            },
+        )
+        out = tmp_path / "traj.csv"
+        code, stdout, stderr = run_main(["regress", "--config", cfg, "--out", str(out)], capsys)
+        assert (code, stderr) == (0, "")
+        assert json.loads(stdout)["aborted"] is None
+        assert len(read_csv(out)) == 401
+
     def test_two_stage_disjoint_start_converges(self, tmp_path, capsys):
         cfg = self._write_config(
             tmp_path,

@@ -331,6 +331,32 @@ class TestChainedGradients:
             scale = max(np.max(np.abs(want)), 1e-9)
             assert np.max(np.abs(got - want)) / scale < 1e-5
 
+    @pytest.mark.parametrize(
+        "alpha, beta, c", [(40.0, 0.5, 0.7), (-40.0, 0.5, 1e-7), (0.5, 40.0, 0.0), (0.5, -40.0, 0.0)]
+    )
+    def test_constrained_chain_is_flat_beyond_the_clamp(self, alpha, beta, c):
+        # Past EXP_CLAMP constrained_to_cov no longer moves with alpha (or
+        # beta): the chained component is 0, as the central difference of
+        # state() is, and exp never sees the unclamped value.
+        from conftest import central_difference
+        from gbbkit.regress import _Parametrization
+
+        def state_of(vec):
+            probe = _Parametrization("constrained5", UNIT_AT(0.0))
+            probe.vec = list(vec)
+            return np.array(probe.state())
+
+        vec = [0.3, -0.2, alpha, beta, c]
+        grad_abc = np.array([0.1, -0.4, 0.25, 0.6, -0.3])
+        jacobian = np.array([central_difference(lambda v: state_of(v)[j], vec) for j in range(5)])
+        want = jacobian.T @ grad_abc
+        param = _Parametrization("constrained5", UNIT_AT(0.0))
+        param.vec = vec
+        got = np.array(param.chain_gradient(grad_abc))
+        flat = 2 if abs(alpha) > 30.0 else 3
+        assert got[flat] == 0.0 and want[flat] == 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
+
 
 def _ellipse_iou(p, q):
     """Exact IoU of the two default level-set ellipses."""
