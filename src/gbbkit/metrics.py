@@ -120,8 +120,8 @@ def similarity(p: GaussBox, q: GaussBox) -> SimilarityReport:
 
 
 def _hellinger(b_d: float) -> float:
-    """Hellinger distance from a clamped Bhattacharyya distance b_d >= 0."""
-    return math.sqrt(max(0.0, -math.expm1(-b_d)))
+    """Hellinger distance from a clamped Bhattacharyya distance b_d >= 0; NaN stays NaN."""
+    return math.sqrt(-math.expm1(-b_d))
 
 
 def mask_bc(m1: PolygonMask, m2: PolygonMask) -> float:

@@ -158,6 +158,8 @@ def _gbb_problem(x0: float, y0: float, a: float, b: float, c: float) -> str:
     det = a * b - c * c
     if math.isnan(det):
         return "a*b - c^2 overflows (a*b and c^2 are both inf)"
+    if det == math.inf:
+        return "a*b - c^2 overflows (got inf)"
     if not det > eps:
         return f"a*b - c^2 must exceed {eps} (got {det})"
     return ""

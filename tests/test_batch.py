@@ -130,6 +130,24 @@ def test_large_valid_gaussians_score_the_same_on_both_routes(p, q):
     assert math.isfinite(rep.b_d) and rep.b_d >= 0.0
 
 
+def test_overflowing_distance_is_nan_on_both_routes():
+    # Both Gaussians are valid, but the sum's determinant overflows and the
+    # shape term is log(inf / inf): NaN on both routes, never ProbIoU 1.0.
+    p, q = (0.0, 0.0, 1e154, 1e154, 0.0), (1.0, 0.0, 1e154, 1e154, 0.0)
+    rep = similarity(GaussBox(*p), GaussBox(*q))
+    with np.errstate(all="ignore"):
+        pi = prob_iou_pairs(np.array([p]), np.array([q]))
+    assert math.isnan(rep.b_d) and math.isnan(rep.h_d)
+    assert math.isnan(rep.prob_iou) and math.isnan(pi[0])
+
+
+def test_infinite_determinant_is_refused():
+    # a*b overflows to inf while c*c is 0: not a Gaussian that can be compared.
+    big = GaussBox(0.0, 0.0, 1e155, 1e155, 0.0)
+    with pytest.raises(ValueError, match=r"a\*b - c\^2 overflows \(got inf\)"):
+        similarity(big, GaussBox(1.0, 0.0, 1e155, 1e155, 0.0))
+
+
 def test_identical_rows_give_unit_prob_iou():
     # No exact-equality short-circuit on the batch path: roundoff in the
     # log leaves b_d within a few ulp of zero, so assert to 1e-7.

@@ -336,6 +336,21 @@ class TestScore:
             rep.b_d, rep.b_c, rep.h_d, rep.prob_iou, 1.0
         ]
 
+    def test_overflowing_gaussians_are_skipped_with_reason(self, tmp_path, capsys):
+        # A NaN distance skips its line with every non-finite metric named;
+        # an infinite determinant is an invalid Gaussian.
+        lines = [
+            json.dumps([g, {**g, "x": 1}])
+            for g in ({"type": "gbb", "x": 0, "y": 0, "a": a, "b": a, "c": 0} for a in (1e154, 1e155))
+        ]
+        code, _, err = run_main(["score", self._write_pairs(tmp_path, lines)], capsys)
+        assert code == 0
+        assert err.splitlines() == [
+            "line 1: skipped (non-finite b_d, b_c, h_d, prob_iou)",
+            "line 2: skipped (invalid GaussBox: a*b - c^2 overflows (got inf))",
+            "scored 0 pairs, skipped 2",
+        ]
+
     def test_non_finite_metric_skipped_with_reason(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "iou_between", lambda a, b, cell_size: math.nan)
         g = {"type": "gbb", "x": 0, "y": 0, "a": 1, "b": 1, "c": 0}
