@@ -1,11 +1,13 @@
 import ast
 import importlib
+import os
 import pkgutil
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gbbkit
@@ -103,3 +105,37 @@ def test_a_failing_property_test_does_not_stop_the_session(tmp_path):
     )
     assert "INTERNALERROR" not in result.stdout + result.stderr
     assert result.stdout.splitlines()[-1].startswith("1 failed, 1 passed")
+
+
+def _openblas_dynamic_arch() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS that picks its core at run time."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    config = blas.get("openblas configuration", "")
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in config
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        text = Path("/proc/cpuinfo").read_text(encoding="utf-8")
+    except OSError:
+        return set()
+    return {f for line in text.splitlines() if line.startswith("flags") for f in line.split()}
+
+
+@pytest.mark.skipif(
+    not (_openblas_dynamic_arch() and {"avx2", "fma"} <= _cpu_flags()),
+    reason="needs a DYNAMIC_ARCH OpenBLAS and a CPU with AVX2 and FMA",
+)
+def test_goldens_pass_under_the_haswell_openblas_core():
+    # The recorded digests do not depend on which OpenBLAS kernels run.  The
+    # core is chosen in a child process only: OpenBLAS reads it at load time.
+    repo = Path(__file__).resolve().parents[1]
+    src = str(Path(gbbkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_golden.py"],
+        cwd=repo, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stdout[-3000:]
+    assert " passed" in result.stdout.splitlines()[-1]
