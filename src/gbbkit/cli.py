@@ -266,8 +266,9 @@ def cmd_score(args) -> int:
     boxes = np.empty((_SCORE_BOX_BLOCK, 2, 5))
 
     def flush():
-        ious = batch.iou_obb_pairs(boxes[: len(queued), 0], boxes[: len(queued), 1])
-        for (slot, lineno, values), iou, (a, b) in zip(queued, ious.tolist(), boxes.tolist()):
+        block = boxes[: len(queued)]
+        ious = batch.iou_obb_pairs(block[:, 0], block[:, 1])
+        for (slot, lineno, values), iou, (a, b) in zip(queued, ious.tolist(), block.tolist()):
             if math.isnan(iou):
                 # The scalar route raises on this pair or scores it non-finite;
                 # an hbb as its theta-0 obb has the same corners there.
