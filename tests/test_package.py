@@ -127,8 +127,9 @@ def _cpu_flags() -> set[str]:
     reason="needs a DYNAMIC_ARCH OpenBLAS and a CPU with AVX2 and FMA",
 )
 def test_goldens_pass_under_the_haswell_openblas_core():
-    # The recorded digests do not depend on which OpenBLAS kernels run.  The
-    # core is chosen in a child process only: OpenBLAS reads it at load time.
+    # Haswell's kernels must give every golden its recorded bits, as the core
+    # OpenBLAS picks here does.  The core is set in a child process only:
+    # OpenBLAS reads it at load time.
     repo = Path(__file__).resolve().parents[1]
     src = str(Path(gbbkit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -339,6 +339,7 @@ class TestChainedGradients:
         # beta): the chained component is 0, as the central difference of
         # state() is, and exp never sees the unclamped value.
         from conftest import central_difference
+        from gbbkit.convert import EXP_CLAMP
         from gbbkit.regress import _Parametrization
 
         def state_of(vec):
@@ -353,7 +354,7 @@ class TestChainedGradients:
         param = _Parametrization("constrained5", UNIT_AT(0.0))
         param.vec = vec
         got = np.array(param.chain_gradient(grad_abc))
-        flat = 2 if abs(alpha) > 30.0 else 3
+        flat = 2 if abs(alpha) > EXP_CLAMP else 3
         assert got[flat] == 0.0 and want[flat] == 0.0
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
 
