@@ -51,7 +51,7 @@ def bd_pairs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def hd_pairs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Row-wise Hellinger distance between (n, 5) Gaussian batches."""
-    return np.sqrt(np.maximum(-np.expm1(-bd_pairs(p, q)), 0.0))
+    return np.sqrt(-np.expm1(-bd_pairs(p, q)))
 
 
 def prob_iou_pairs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -60,18 +60,20 @@ def prob_iou_pairs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _overlap_1d(c1, s1, c2, s2):
-    return np.maximum(
-        0.0, np.minimum(c1 + s1 / 2.0, c2 + s2 / 2.0) - np.maximum(c1 - s1 / 2.0, c2 - s2 / 2.0)
-    )
+    hi = np.minimum(c1 + s1 / 2.0, c2 + s2 / 2.0)
+    return np.maximum(0.0, hi - np.maximum(c1 - s1 / 2.0, c2 - s2 / 2.0))
+
+
+def _hbb_overlap(a, b):
+    x_overlap = _overlap_1d(a[:, 0], a[:, 2], b[:, 0], b[:, 2])
+    return x_overlap * _overlap_1d(a[:, 1], a[:, 3], b[:, 1], b[:, 3])
 
 
 def iou_hbb_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise exact IoU between (n, 4) axis-aligned box batches."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    inter = _overlap_1d(a[:, 0], a[:, 2], b[:, 0], b[:, 2]) * _overlap_1d(
-        a[:, 1], a[:, 3], b[:, 1], b[:, 3]
-    )
+    inter = _hbb_overlap(a, b)
     union = a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter
     return inter / union
 
@@ -84,9 +86,7 @@ def rect_mask_bc_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    inter = _overlap_1d(a[:, 0], a[:, 2], b[:, 0], b[:, 2]) * _overlap_1d(
-        a[:, 1], a[:, 3], b[:, 1], b[:, 3]
-    )
+    inter = _hbb_overlap(a, b)
     return np.minimum(inter / np.sqrt(a[:, 2] * a[:, 3] * b[:, 2] * b[:, 3]), 1.0)
 
 

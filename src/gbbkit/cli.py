@@ -95,12 +95,10 @@ def _vertices(verts) -> np.ndarray:
         raise UsageError("polygon vertices hold an integer beyond the float range") from exc
 
 
-# JSON keys of each flat shape type, in its dataclass field order.
+# JSON keys of each flat shape type: its dataclass fields, x0 and y0 as x and y.
 _SHAPE_KEYS = {
-    "hbb": (Hbb, ("x", "y", "w", "h")),
-    "obb": (Obb, ("x", "y", "w", "h", "theta")),
-    "gbb": (GaussBox, ("x", "y", "a", "b", "c")),
-    "ellipse": (Ellipse, ("x", "y", "semi_major", "semi_minor", "theta")),
+    kind: (cls, tuple({"x0": "x", "y0": "y"}.get(f.name, f.name) for f in fields(cls)))
+    for kind, cls in (("hbb", Hbb), ("obb", Obb), ("gbb", GaussBox), ("ellipse", Ellipse))
 }
 
 

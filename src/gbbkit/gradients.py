@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convert import hbb_to_gbb
-from .metrics import _bd
-from .types import GaussBox, Hbb, require_valid_gbb
+from .metrics import _bd, _hellinger
+from .types import GaussBox, Hbb, _gbb_problem, require_valid_gbb
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,29 @@ def grad_l1_hbb(p: Hbb, q: Hbb) -> HbbGradient:
     return HbbGradient(factor * g.d_x, factor * g.d_y, factor * g.d_w, factor * g.d_h)
 
 
+def _loss_and_grad(state: tuple, target: tuple, selector: str):
+    """ProbIoU, unweighted loss and (x, y, a, b, c) gradient, as floats, of two 5-tuples.
+
+    Only the state is checked, by validate_gbb's rule.  One outside the
+    positive-definite region (an oversized step can slam both variances
+    into the floor) reports an infinite loss, so the caller aborts.
+    """
+    if _gbb_problem(*state):
+        return 0.0, math.inf, (0.0,) * 5
+    args = (*state, *target)
+    b_d = _bd(*args)
+    h_d = _hellinger(b_d)
+    grad = _grad_terms(*args)
+    if selector == "l2":
+        return 1.0 - h_d, b_d, grad
+    factor = _l1_factor_at(b_d)
+    if factor is None:
+        # Exact optimum: the L1 chain factor is singular but the true
+        # directional gradient is what an optimizer should see: zero.
+        return 1.0 - h_d, h_d, (0.0,) * 5
+    return 1.0 - h_d, h_d, tuple(g * factor for g in grad)
+
+
 def grad_general(p: GaussBox, q: GaussBox, which: str = "l2") -> np.ndarray:
     """Analytic gradient of the selected loss w.r.t. (x1, y1, a1, b1, c1).
 
@@ -121,14 +144,10 @@ def grad_general(p: GaussBox, q: GaussBox, which: str = "l2") -> np.ndarray:
     require_valid_gbb(q)
     if which not in ("l1", "l2"):
         raise ValueError(f"loss selector must be 'l1' or 'l2', got {which!r}")
-    args = (p.x0, p.y0, p.a, p.b, p.c, q.x0, q.y0, q.a, q.b, q.c)
-    grad = np.array(_grad_terms(*args))
-    if which == "l1":
-        factor = _l1_factor_at(_bd(*args))
-        if factor is None:
-            raise ValueError("L1 gradient is singular at p = q")
-        grad *= factor
-    return grad
+    _, loss, grad = _loss_and_grad((p.x0, p.y0, p.a, p.b, p.c), (q.x0, q.y0, q.a, q.b, q.c), which)
+    if which == "l1" and loss == 0.0:  # h_d is 0 only at b_d == 0
+        raise ValueError("L1 gradient is singular at p = q")
+    return np.array(grad)
 
 
 __all__ = ["HbbGradient", "grad_l2_hbb", "grad_l1_hbb", "grad_general"]

@@ -19,9 +19,8 @@ import numpy as np
 
 from .batch import iou_ellipse_pairs
 from .convert import EXP_CLAMP, _canonical_angle, constrained_to_cov, cov_from_angles, gbb_to_angle_cov
-from .gradients import _grad_terms, _l1_factor_at
-from .metrics import _bd, _hellinger
-from .types import AngleCov, GaussBox, _gbb_problem, require_valid_gbb
+from .gradients import _loss_and_grad
+from .types import AngleCov, GaussBox, require_valid_gbb
 
 PARAMETRIZATIONS = ("hbb4", "angle5", "constrained5")
 
@@ -203,30 +202,6 @@ class _Parametrization:
             if th > math.pi / 4.0 or th < -math.pi / 4.0:
                 th = (th + math.pi / 2.0) % math.pi - math.pi / 2.0
                 v[2], v[3], v[4] = _canonical_angle(v[2], v[3], th)
-
-
-def _loss_and_grad(state: tuple, target: tuple, selector: str):
-    """ProbIoU, unweighted loss, and (x, y, a, b, c) gradient, as floats,
-    of two (x0, y0, a, b, c) tuples: similarity's and grad_general's numbers.
-
-    Only the state is checked, by validate_gbb's rule.  One outside the
-    positive-definite region (an oversized step can slam both variances
-    into the floor) reports an infinite loss, so the caller aborts.
-    """
-    if _gbb_problem(*state):
-        return 0.0, math.inf, (0.0,) * 5
-    args = (*state, *target)
-    b_d = _bd(*args)
-    h_d = _hellinger(b_d)
-    grad = _grad_terms(*args)
-    if selector == "l2":
-        return 1.0 - h_d, b_d, grad
-    factor = _l1_factor_at(b_d)
-    if factor is None:
-        # Exact optimum: the L1 chain factor is singular but the true
-        # directional gradient is what an optimizer should see: zero.
-        return 1.0 - h_d, h_d, (0.0,) * 5
-    return 1.0 - h_d, h_d, tuple(g * factor for g in grad)
 
 
 def fit_gbb(

@@ -34,11 +34,11 @@ from gbbkit.batch import (
     prob_iou_pairs,
     rect_mask_bc_pairs,
 )
-from gbbkit.gradients import _grad_terms, _l1_factor_at
+from gbbkit.gradients import _grad_terms, _l1_factor_at, _loss_and_grad
 from gbbkit.polygons import _box_corners, ellipse_intersection_area
 from gbbkit.convert import obb_corners
 from gbbkit.raster import default_cell_size, iou_between
-from gbbkit.regress import VARIANCE_FLOOR, _loss_and_grad
+from gbbkit.regress import VARIANCE_FLOOR
 from gbbkit.types import Obb, PolygonMask
 
 

@@ -232,7 +232,7 @@ class TestFitGbb:
     def test_step_state_check_is_validate_gbb(self, state):
         # The fit step checks its state's five floats; it must accept exactly
         # the states validate_gbb accepts, and report the others as infinite.
-        from gbbkit.regress import _loss_and_grad
+        from gbbkit.gradients import _loss_and_grad
 
         for selector in ("l1", "l2"):
             _, loss, _ = _loss_and_grad(astuple(state), astuple(UNIT_AT(0.0)), selector)
@@ -393,7 +393,7 @@ class TestGradientProbe:
 
     def test_matches_similarity(self):
         # The fit step's ProbIoU and both losses are similarity's numbers.
-        from gbbkit.regress import _loss_and_grad
+        from gbbkit.gradients import _loss_and_grad
 
         p, q = UNIT_AT(0.0), UNIT_AT(0.5)
         rep = similarity(p, q)
