@@ -89,12 +89,12 @@ def ingest_annotations(path: str) -> IngestResult:
     image_id, category_id, and a single-polygon segmentation are read.
     Raises OSError when the file cannot be read and ValueError when it is
     not valid JSON of the expected shape (annotations or categories that
-    are not an array among them), when a category's id is an array or an
-    object, when two categories share an id under different names, or when
-    an annotation's category is named AGGREGATE_CATEGORY; individually
-    malformed annotations (a category_id that is an array or an object, or
-    a polygon whose moments match no valid Gaussian, among them) are
-    skipped and counted instead.
+    are not an array among them), when a category entry is not an object or
+    its id is an array, an object or a boolean, when two categories share an
+    id under different names, or when an annotation's category is named
+    AGGREGATE_CATEGORY; individually malformed annotations (a category_id
+    that is an array, an object or a boolean, or a polygon whose moments
+    match no valid Gaussian, among them) are skipped and counted instead.
     """
     with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         try:
@@ -111,12 +111,12 @@ def ingest_annotations(path: str) -> IngestResult:
     first_index = {}
     for index, cat in enumerate(doc.get("categories", [])):
         if not isinstance(cat, dict):
-            continue
+            raise ValueError(f"{path}: categories[{index}] must be a JSON object")
         cat_id = cat.get("id")
-        if isinstance(cat_id, (list, dict)):
+        kind = {list: "array", dict: "object", bool: "boolean"}.get(type(cat_id))
+        if kind:
             raise ValueError(
-                f"{path}: categories[{index}].id must be a number or a string, "
-                f"not a JSON {'array' if isinstance(cat_id, list) else 'object'}"
+                f"{path}: categories[{index}].id must be a number or a string, not a JSON {kind}"
             )
         name = str(cat.get("name", cat_id))
         first = first_index.setdefault(cat_id, index)
@@ -141,7 +141,7 @@ def ingest_annotations(path: str) -> IngestResult:
             skipped_multipart += 1
             continue
         category_id = ann.get("category_id")
-        if isinstance(category_id, (list, dict)):  # no category can have it
+        if isinstance(category_id, (list, dict, bool)):  # no category can have it
             skipped_malformed += 1
             continue
         try:

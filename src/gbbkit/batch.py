@@ -190,7 +190,8 @@ class _DiskFrame(NamedTuple):
     u22: np.ndarray
 
     @classmethod
-    def of(cls, p: np.ndarray, q: np.ndarray) -> _DiskFrame:
+    def of(cls, p: np.ndarray, q: np.ndarray) -> tuple[_DiskFrame, np.ndarray]:
+        """The frame, and the rows whose two determinants are finite."""
         det_p = p[:, 2] * p[:, 3] - p[:, 4] ** 2
         det_q = q[:, 2] * q[:, 3] - q[:, 4] ** 2
         swap = (det_q > det_p)[:, None]
@@ -204,7 +205,8 @@ class _DiskFrame(NamedTuple):
         c1 = (q[:, 0] - p[:, 0]) / (DEFAULT_LEVEL_SET_RADIUS * p11)
         c2 = ((q[:, 1] - p[:, 1]) / DEFAULT_LEVEL_SET_RADIUS - p21 * c1) / p22
         u11 = q11 / p11
-        return cls(c1, c2, u11, (q21 - p21 * u11) / p22, np.sqrt(q[:, 3] - q21 * q21) / p22)
+        frame = cls(c1, c2, u11, (q21 - p21 * u11) / p22, np.sqrt(q[:, 3] - q21 * q21) / p22)
+        return frame, np.isfinite(det_p) & np.isfinite(det_q)
 
     def column(self) -> _DiskFrame:
         return _DiskFrame(*(v[:, None] for v in self))
@@ -301,11 +303,14 @@ def iou_ellipse_pairs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     (the quartic vanishes or no arc is clear either way), intersects in the
     smaller ellipse.  A row that is not positive-definite, has a non-finite
     field, or whose frame or quartic overflows (centres about 1e155 apart
-    in units of the larger ellipse) gives NaN.
+    in units of the larger ellipse) gives NaN.  So does a row whose
+    determinant a*b - c**2 overflows, which validate_gbb refuses even where
+    the frame stays finite: (0, 0, 1e155, 1e155, 0) against (1, 0, 1e155,
+    1e155, 0) would otherwise give 1.0.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    frame = _DiskFrame.of(p, q)
+    frame, finite_det = _DiskFrame.of(p, q)
     det_u = frame.u11 * frame.u22
     split, scale, coincident, broken = _crossing_splits(frame)
     f = frame.column()
@@ -324,7 +329,7 @@ def iou_ellipse_pairs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     inter = np.where(np.any(clear & inside, axis=1), inter, 0.0)
     inter = np.where(coincident | ~np.any(clear & ~inside, axis=1), smaller, inter)
     # A broken row has no arcs, so the branches above would call it contained.
-    known = np.isfinite(p).all(axis=1) & np.isfinite(q).all(axis=1) & ~broken
+    known = np.isfinite(p).all(axis=1) & np.isfinite(q).all(axis=1) & finite_det & ~broken
     return np.where(known, inter / (np.pi * (1.0 + det_u) - inter), np.nan)
 
 

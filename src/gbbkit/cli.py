@@ -11,7 +11,7 @@ JSON in, CSV/JSON out.  Shape JSON forms:
 CSV output uses a header row, '.' decimals, '\\n' line ends, and quotes
 only the fields that need it (RFC 4180); identical invocations (same seed)
 produce byte-identical files.  Exit codes: 0 success, 1 runtime error
-(I/O, empty results), 2 usage or parse error.
+(I/O, empty results, out of memory), 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -506,7 +506,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

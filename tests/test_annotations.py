@@ -116,6 +116,21 @@ class TestIngest:
         )
         assert ingest_annotations(path).records[0].category == "99"
 
+    def test_annotation_that_is_not_an_object_is_skipped_and_counted(self, tmp_path):
+        path = write_coco(
+            tmp_path,
+            [5, [TRIANGLE], {"image_id": 2, "category_id": 7, "segmentation": [TRIANGLE]}],
+        )
+        result = ingest_annotations(path)
+        assert [r.image_id for r in result.records] == ["2"]
+        assert result.skipped_malformed == 2
+
+    def test_document_that_is_not_an_object_raises(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError, match="expected an object with an 'annotations' list"):
+            ingest_annotations(str(path))
+
     def test_invalid_json_raises_value_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

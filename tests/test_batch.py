@@ -146,6 +146,12 @@ def test_infinite_determinant_is_refused():
     big = GaussBox(0.0, 0.0, 1e155, 1e155, 0.0)
     with pytest.raises(ValueError, match=r"a\*b - c\^2 overflows \(got inf\)"):
         similarity(big, GaussBox(1.0, 0.0, 1e155, 1e155, 0.0))
+    # Both batch kernels give NaN for the same rows, either way round, though
+    # the ellipse frame itself stays finite.  The overflow warns.
+    rows = np.array([[0.0, 0.0, 1e155, 1e155, 0.0], [1.0, 0.0, 1e155, 1e155, 0.0]])
+    for kernel in (prob_iou_pairs, iou_ellipse_pairs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(kernel(rows, rows[::-1])).all()
 
 
 def test_identical_rows_give_unit_prob_iou():

@@ -20,6 +20,7 @@ from gbbkit.polygons import convex_hull, ellipse_intersection_area, signed_area
 from gbbkit.types import GaussBox, PolygonMask
 
 HBB_JSON = json.dumps({"type": "hbb", "x": 3, "y": 4, "w": 6, "h": 12})
+UNIT_BOX = {"type": "hbb", "x": 0, "y": 0, "w": 1, "h": 1}
 # Two triangles joined at a crossing, the right one larger, so the signed
 # area (2) is positive and only the crossing edges make it invalid.
 BOW_TIE = {"type": "polygon", "vertices": [[0, 1], [4, 0], [4, 2], [0, 0]]}
@@ -109,6 +110,20 @@ class TestConvert:
         code, out, err = run_main(["convert", json.dumps(shape), "gbb"], capsys)
         assert (code, out) == (2, "")
         assert field in err
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ('{"type": "hbb", "x": NaN, "y": 0, "w": 1, "h": 1}', "shape field 'x' must be finite, got nan"),
+            ('{"type": "polygon", "vertices": [1, 2, 3]}', "polygon needs a 'vertices' list of [x, y] pairs"),
+            ("[1, 2]", "shape must be a JSON object with a 'type' field"),
+            ('{"type": "circle"}', "unknown shape type 'circle'"),
+        ],
+        ids=["nan-field", "flat-vertices", "array-shape", "unknown-type"],
+    )
+    def test_refused_shape_exits_2_with_its_reason(self, shape, message, capsys):
+        code, out, err = run_main(["convert", shape, "gbb"], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_numpy_floats_parse_as_numbers(self):
         # In-process callers (perfbench among them) build shapes from numpy values.
@@ -264,6 +279,16 @@ class TestScore:
         assert code == 0
         assert out_csv.read_text() == "b_d,b_c,h_d,prob_iou,iou\n"
         assert "scored 0 pairs" in err
+
+    def test_blank_lines_are_neither_scored_nor_counted(self, tmp_path, capsys):
+        g = {"type": "gbb", "x": 0, "y": 0, "a": 1, "b": 1, "c": 0}
+        path = self._write_pairs(tmp_path, ["", json.dumps([g, g]), "   ", "\t", "{broken"])
+        out_csv = tmp_path / "scores.csv"
+        code, _, err = run_main(["score", path, "--out", str(out_csv)], capsys)
+        assert code == 0
+        assert len(read_csv(out_csv)) == 1
+        assert err.startswith("line 5: skipped (")
+        assert err.endswith("\nscored 1 pairs, skipped 1\n")
 
     def test_bad_lines_skipped_with_count(self, tmp_path, capsys):
         g = {"type": "gbb", "x": 0, "y": 0, "a": 1, "b": 1, "c": 0}
@@ -688,6 +713,8 @@ class TestFidelity:
             "categories": [{"id": 1, "name": "tri"}],
             "annotations": [
                 {"image_id": 1, "category_id": [1], "segmentation": [[0, 0, 4, 0, 0, 3]]},
+                # Python's True == 1, but no category can have a boolean id.
+                {"image_id": 1, "category_id": True, "segmentation": [[0, 0, 4, 0, 0, 3]]},
                 {"image_id": 1, "category_id": 1, "segmentation": [[0, 0, 2, 0, 0, 5]]},
             ],
         }
@@ -698,7 +725,7 @@ class TestFidelity:
             ["fidelity", "--annotations", str(path), "--out", str(out)], capsys
         )
         assert code == 0
-        assert "skipped 0 multi-part and 1 malformed" in err
+        assert "skipped 0 multi-part and 2 malformed" in err
         assert {r["category"]: r["count"] for r in read_csv(out)} == {"tri": "1", "overall": "1"}
 
     def test_polygon_without_valid_gaussian_counts_as_malformed(self, tmp_path, capsys):
@@ -758,11 +785,29 @@ class TestFidelity:
         assert {r["category"]: r["count"] for r in read_csv(out)} == {"car": "1", "overall": "1"}
 
     def test_list_valued_category_id_in_categories_exits_2(self, tmp_path, capsys):
+        for bad_id, kind in (([1], "array"), (True, "boolean")):
+            doc = {
+                "images": [{"id": 1}],
+                "categories": [{"id": 2, "name": "box"}, {"id": bad_id, "name": "tri"}],
+                "annotations": [
+                    {"image_id": 1, "category_id": 2, "segmentation": [[0, 0, 4, 0, 0, 3]]},
+                ],
+            }
+            path = tmp_path / "coco.json"
+            path.write_text(json.dumps(doc))
+            out = tmp_path / "f.csv"
+            code, _, err = run_main(
+                ["fidelity", "--annotations", str(path), "--out", str(out)], capsys
+            )
+            assert code == 2
+            assert f"categories[1].id must be a number or a string, not a JSON {kind}" in err
+            assert not out.exists()
+
+    def test_category_entry_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         doc = {
-            "images": [{"id": 1}],
-            "categories": [{"id": 2, "name": "box"}, {"id": [1], "name": "tri"}],
+            "categories": [{"id": 1, "name": "tri"}, "box"],
             "annotations": [
-                {"image_id": 1, "category_id": 2, "segmentation": [[0, 0, 4, 0, 0, 3]]},
+                {"image_id": 1, "category_id": 1, "segmentation": [[0, 0, 4, 0, 0, 3]]},
             ],
         }
         path = tmp_path / "coco.json"
@@ -772,7 +817,7 @@ class TestFidelity:
             ["fidelity", "--annotations", str(path), "--out", str(out)], capsys
         )
         assert code == 2
-        assert "categories[1].id must be a number or a string, not a JSON array" in err
+        assert err == f"error: {path}: categories[1] must be a JSON object\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1093,6 +1138,39 @@ class TestRegress:
         assert err == "error: config has unknown keys: ['Schedule', 'optimiser']\n"
         assert stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"target": ', "config is not valid JSON: Expecting value: line 1 column 12 (char 11)"),
+            ("[1]", "config must be an object with 'target' and 'init' shapes"),
+            (
+                json.dumps({"target": UNIT_BOX, "init": UNIT_BOX, "schedule": [1]}),
+                "config field 'schedule' must be an object",
+            ),
+        ],
+        ids=["truncated", "array", "array-section"],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "t.csv"
+        code, stdout, err = run_main(["regress", "--config", str(path), "--out", str(out)], capsys)
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_trajectory_beyond_the_address_space_exits_1(self, tmp_path, capsys):
+        # 1e16 steps of five floats need 355 PiB, more than a 64-bit process
+        # can address (128 TiB, or 64 PiB with five-level page tables), so
+        # numpy refuses at once, before touching any memory.
+        cfg = self._write_config(
+            tmp_path, {"target": UNIT_BOX, "init": UNIT_BOX, "schedule": {"total_steps": 10**16}}
+        )
+        out = tmp_path / "t.csv"
+        code, stdout, err = run_main(["regress", "--config", cfg, "--out", str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "section, values, message",
@@ -1100,8 +1178,9 @@ class TestRegress:
             ("schedule", {"total_steps": 40.5}, "total_steps must be an integer, got 40.5"),
             ("schedule", {"total_steps": True}, "total_steps must be an integer, got True"),
             ("schedule", {"omega2": math.inf}, "omega2 must be finite, got inf"),
+            ("optimizer", {"grad_clip": 0}, "grad_clip must be positive, got 0"),
         ],
-        ids=["fractional_steps", "bool_steps", "infinite_weight"],
+        ids=["fractional_steps", "bool_steps", "infinite_weight", "zero_clip"],
     )
     def test_bad_config_number_exit_2(self, tmp_path, capsys, section, values, message):
         cfg = self._write_config(

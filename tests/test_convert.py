@@ -229,6 +229,8 @@ class TestEllipse:
             gbb_to_ellipse(g, r=0.0)
         with pytest.raises(ValueError):
             gbb_to_ellipse(g, r=-1.0)
+        with pytest.raises(ValueError, match="level-set radius must be positive, got 0.0"):
+            tau_from_r(0.0)
 
     def test_area_identity_over_random_obbs(self):
         rng = np.random.default_rng(6)

@@ -36,7 +36,10 @@ def _imported_modules(path):
     return names
 
 
-@pytest.mark.parametrize("name", ["types", "polygons", "convert", "annotations", "metrics"])
+@pytest.mark.parametrize(
+    "name",
+    ["types", "polygons", "convert", "annotations", "metrics", "gradients", "batch", "regress"],
+)
 def test_lower_layers_import_neither_raster_nor_cli(name):
     # Geometry and conversions sit below the IoU routes and the command line.
     imported = _imported_modules(Path(gbbkit.__file__).parent / f"{name}.py")
